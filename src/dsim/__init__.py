@@ -12,7 +12,6 @@ verification of the decoded law.
 """
 
 from .bounds_analysis import (
-    Majorant,
     check_majorization,
     chi_square,
     desimulate_any,

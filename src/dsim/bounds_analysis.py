@@ -19,7 +19,7 @@ from scipy.stats import chi2 as _chi2
 
 from . import dyadic_codec, halfline_codec, integer_codec
 from .bitcodes import SCHEME_UNIT, gamma_length, read_container, shifted_gamma_length
-from .distributions import IntegerDistribution, MonotonePdf, pareto_flat
+from .distributions import IntegerDistribution, MonotonePdf
 from .dyadic_codec import DEFAULT_KMAX, rect_area
 from .rng import RandomSource
 
@@ -29,7 +29,6 @@ __all__ = [
     "thm3_bound",
     "thm4_bound",
     "paper_gamma_accounting",
-    "Majorant",
     "check_majorization",
     "exact_expected_length_unit",
     "EmpiricalLength",
@@ -103,46 +102,21 @@ def paper_gamma_accounting(z: int) -> int:
     return (z * z).bit_length()
 
 
-class Majorant:
-    """The least non-increasing density consistent with a power certificate.
-
-    Flat at level c lam t0**-(lam+1) on [0, t0], t0 = (c (lam+1))**(1/lam),
-    then exactly c lam x**-(lam+1).  Any density whose tail obeys the
-    certificate majorizes this one, so bounds derived for the majorant
-    transfer to the original law.
-    """
-
-    __slots__ = ("c", "lam", "t0", "_handle")
-
-    def __init__(self, c: float, lam: float):
-        self._handle = pareto_flat(c, lam)
-        self.c = float(c)
-        self.lam = float(lam)
-        self.t0 = self._handle.params["t0"]
-
-    def eval(self, x):
-        return self._handle.pdf(x)
-
-    pdf = eval
-
-    def cdf(self, x):
-        return self._handle.cdf(x)
-
-    def __repr__(self) -> str:
-        return f"Majorant(c={self.c:g}, lam={self.lam:g})"
-
-
-def check_majorization(f: MonotonePdf, majorant: Majorant, grid, tol: float = 1e-9) -> bool:
+def check_majorization(f: MonotonePdf, majorant: MonotonePdf, grid, tol: float = 1e-9) -> bool:
     """True iff the head mass of f dominates the majorant's on the grid:
     integral of f over [0, x] >= integral of the majorant, for every grid x.
 
-    f's integral comes from quadrature of its density, so the check does not
-    assume f's cdf and pdf agree; the majorant's integral is closed form.
+    The majorant is pareto_flat(c, lam), the least non-increasing density
+    consistent with a (c, lam) power certificate: any density whose tail
+    obeys the certificate majorizes it, so bounds derived for the majorant
+    transfer to the original law.  f's integral comes from quadrature of its
+    density, so the check does not assume f's cdf and pdf agree; the
+    majorant's integral is its closed-form cdf.
     """
     grid = np.asarray(grid, dtype=float)
     _require(grid.size > 0, "grid must be nonempty")
     _require(bool(np.all(grid > 0.0)), "grid points must be positive")
-    kinks = [majorant.t0]
+    kinks = [float(majorant.params["t0"])]
     if "t0" in f.params:
         kinks.append(float(f.params["t0"]))
     for x in grid:
@@ -244,31 +218,23 @@ class EmpiricalLength:
     lengths: tuple[int, ...]
 
 
+_CODECS = {"int": integer_codec, "unit": dyadic_codec, "halfline": halfline_codec}
+
+
+def _codec(scheme: str):
+    if scheme not in _CODECS:
+        raise ValueError(f"unknown scheme {scheme!r}; choices: {', '.join(_CODECS)}")
+    return _CODECS[scheme]
+
+
 def simulate_any(scheme: str, dist, n: int, rng: RandomSource) -> bytes:
-    """Run the named scheme's encoder, checking the handle matches it."""
-    if scheme == "int":
-        if not isinstance(dist, IntegerDistribution):
-            raise ValueError(f"scheme 'int' needs an integer distribution, got {dist!r}")
-        return integer_codec.simulate(dist, n, rng)[0]
-    if scheme == "unit":
-        if not (isinstance(dist, MonotonePdf) and dist.support == "unit"):
-            raise ValueError(f"scheme 'unit' needs a density on [0, 1], got {dist!r}")
-        return dyadic_codec.simulate(dist, n, rng)
-    if scheme == "halfline":
-        if not (isinstance(dist, MonotonePdf) and dist.support == "halfline"):
-            raise ValueError(f"scheme 'halfline' needs a density on [0, inf), got {dist!r}")
-        return halfline_codec.simulate(dist, n, rng)
-    raise ValueError(f"unknown scheme {scheme!r}; choices: int, unit, halfline")
+    """Run the named scheme's encoder; it rejects a handle of the wrong kind."""
+    data = _codec(scheme).simulate(dist, n, rng)
+    return data[0] if scheme == "int" else data
 
 
 def desimulate_any(scheme: str, data: bytes, rng: RandomSource) -> np.ndarray:
-    if scheme == "int":
-        return integer_codec.desimulate(data, rng)
-    if scheme == "unit":
-        return dyadic_codec.desimulate(data, rng)
-    if scheme == "halfline":
-        return halfline_codec.desimulate(data, rng)
-    raise ValueError(f"unknown scheme {scheme!r}; choices: int, unit, halfline")
+    return _codec(scheme).desimulate(data, rng)
 
 
 def empirical_length(scheme: str, dist, n: int, trials: int, seed: int) -> EmpiricalLength:
@@ -291,21 +257,15 @@ def empirical_length(scheme: str, dist, n: int, trials: int, seed: int) -> Empir
 
 def reference_bound(scheme: str, dist, n: int) -> float | None:
     """The closed-form ceiling matching a scheme and the handle's certificate."""
-    if scheme == "int":
-        cert = dist.tail_params
-        if cert is None:
-            return None
-        if cert.kind == "exponential":
-            return thm2_bound(cert.c, cert.lam, n)
-        return thm1_bound(cert.c, cert.lam, n)
+    _codec(scheme)  # an unknown name raises
     if scheme == "unit":
         return thm3_bound(dist.f0, n)
-    if scheme == "halfline":
-        cert = dist.tail_params
-        if cert is None or cert.kind != "power":
-            return None
-        return thm4_bound(cert.c, cert.lam, dist.f0, n)
-    raise ValueError(f"unknown scheme {scheme!r}; choices: int, unit, halfline")
+    cert = dist.tail_params
+    if cert is None:
+        return None
+    if scheme == "int":
+        return (thm2_bound if cert.kind == "exponential" else thm1_bound)(cert.c, cert.lam, n)
+    return thm4_bound(cert.c, cert.lam, dist.f0, n) if cert.kind == "power" else None
 
 
 _KS_COEFF = {0.01: 1.628, 0.05: 1.358, 0.10: 1.224}

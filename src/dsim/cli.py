@@ -16,11 +16,17 @@ import sys
 import numpy as np
 
 from . import bounds_analysis
-from .bitcodes import SCHEME_NAMES, FormatError, TruncatedStreamError, read_container
+from .bitcodes import SCHEME_BY_NAME, SCHEME_NAMES, FormatError, TruncatedStreamError, read_container
 from .distributions import parse_spec
 from .rng import RandomSource
 
-_SCHEMES = ("int", "unit", "halfline")
+# theorem: (ceiling, the options it takes before n, in order)
+_THEOREMS = {
+    "1": (bounds_analysis.thm1_bound, ("c", "lam")),
+    "2": (bounds_analysis.thm2_bound, ("c", "lam")),
+    "3": (bounds_analysis.thm3_bound, ("f0",)),
+    "4": (bounds_analysis.thm4_bound, ("c", "lam", "f0")),
+}
 
 
 def _fmt(x: float) -> str:
@@ -100,21 +106,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    need = {"1": ("c", "lam"), "2": ("c", "lam"), "3": ("f0",), "4": ("c", "lam", "f0")}[args.theorem]
-    for field in need:
+    ceiling, fields = _THEOREMS[args.theorem]
+    for field in fields:
         if getattr(args, field) is None:
             flag = "--lambda" if field == "lam" else f"--{field}"
             print(f"error: theorem {args.theorem} needs {flag}", file=sys.stderr)
             return 2
-    if args.theorem == "1":
-        value = bounds_analysis.thm1_bound(args.c, args.lam, args.n)
-    elif args.theorem == "2":
-        value = bounds_analysis.thm2_bound(args.c, args.lam, args.n)
-    elif args.theorem == "3":
-        value = bounds_analysis.thm3_bound(args.f0, args.n)
-    else:
-        value = bounds_analysis.thm4_bound(args.c, args.lam, args.f0, args.n)
-    print(_fmt(value))
+    print(_fmt(ceiling(*(getattr(args, field) for field in fields), args.n)))
     return 0
 
 
@@ -146,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="draw n samples and write a container file")
-    p.add_argument("--scheme", required=True, choices=_SCHEMES)
+    p.add_argument("--scheme", required=True, choices=SCHEME_BY_NAME)
     p.add_argument("--dist", required=True, help="e.g. geometric:p=0.7, zipf:s=3, triangular, exp:lambda=1, pareto_flat:c=2,lambda=2")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -160,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("bench", help="empirical mean lengths vs the closed-form ceiling")
-    p.add_argument("--scheme", required=True, choices=_SCHEMES)
+    p.add_argument("--scheme", required=True, choices=SCHEME_BY_NAME)
     p.add_argument("--dist", required=True)
     p.add_argument("--n-list", type=_int_list, required=True, help="comma separated, e.g. 100,1000,10000")
     p.add_argument("--trials", type=int, required=True)
@@ -169,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bound", help="evaluate one closed-form length ceiling")
-    p.add_argument("--theorem", required=True, choices=["1", "2", "3", "4"])
+    p.add_argument("--theorem", required=True, choices=_THEOREMS)
     p.add_argument("--c", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--f0", type=float)
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact_length)
 
     p = sub.add_parser("verify", help="round-trip distribution tests over many seeds")
-    p.add_argument("--scheme", required=True, choices=_SCHEMES)
+    p.add_argument("--scheme", required=True, choices=SCHEME_BY_NAME)
     p.add_argument("--dist", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)

@@ -287,30 +287,26 @@ def pareto_flat(c: float = 2.0, lam: float = 2.0) -> MonotonePdf:
                        f0=f0, tail=tail, tail_params=cert, params={"c": c, "lam": lam, "t0": t0})
 
 
-_BUILTINS: dict[str, Callable] = {
-    "geometric": geometric,
-    "zipf": zipf,
-    "triangular": triangular,
-    "exp": exponential,
-    "pareto_flat": pareto_flat,
+# name: (factory, {spec key: factory keyword})
+_BUILTINS: dict[str, tuple[Callable, dict[str, str]]] = {
+    "geometric": (geometric, {"p": "p"}),
+    "zipf": (zipf, {"s": "s"}),
+    "triangular": (triangular, {}),
+    "exp": (exponential, {"lambda": "lam"}),
+    "pareto_flat": (pareto_flat, {"c": "c", "lambda": "lam"}),
 }
 
-_PARAM_NAMES = {
-    "geometric": {"p": "p"},
-    "zipf": {"s": "s"},
-    "triangular": {},
-    "exp": {"lambda": "lam"},
-    "pareto_flat": {"c": "c", "lambda": "lam"},
-}
+
+def _builtin_entry(name: str) -> tuple[Callable, dict[str, str]]:
+    try:
+        return _BUILTINS[name]
+    except KeyError:
+        raise ValueError(f"unknown distribution {name!r}; choices: {sorted(_BUILTINS)}") from None
 
 
 def builtin(name: str, **params):
     """Construct a built-in distribution by name."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown distribution {name!r}; choices: {sorted(_BUILTINS)}") from None
-    return factory(**params)
+    return _builtin_entry(name)[0](**params)
 
 
 def parse_spec(spec: str):
@@ -321,9 +317,7 @@ def parse_spec(spec: str):
     """
     name, _, rest = spec.partition(":")
     name = name.strip()
-    if name not in _BUILTINS:
-        raise ValueError(f"unknown distribution {name!r}; choices: {sorted(_BUILTINS)}")
-    allowed = _PARAM_NAMES[name]
+    factory, allowed = _builtin_entry(name)
     params = {}
     if rest.strip():
         for item in rest.split(","):
@@ -335,7 +329,7 @@ def parse_spec(spec: str):
                 params[allowed[key]] = float(value)
             except ValueError:
                 raise ValueError(f"parameter {key} must be a number, got {value!r}") from None
-    return builtin(name, **params)
+    return factory(**params)
 
 
 def validate_tail(dist, c: float, lam: float, kind: str, grid) -> bool:

@@ -11,7 +11,10 @@ hypograph projects to an f-distributed x, and conditioned on its rectangle
 the x-coordinate is uniform on that rectangle's x-interval.
 
 The codeword lists the occupied rectangles in lexicographic (k, a) order,
-each as shifted-gamma(k), shifted-gamma(a), gamma(count).
+each as shifted-gamma(k), shifted-gamma(a), gamma(count); write_triples is
+the one writer of that layout, for this scheme and the half-line scheme.
+No rectangle lies deeper than MAX_DEPTH: the locator cannot reach past it,
+and the decoder rejects deeper triples.
 """
 
 from __future__ import annotations
@@ -30,17 +33,19 @@ from .bitcodes import (
     shifted_gamma_encode,
     write_container,
 )
+from .distributions import MonotonePdf
 from .rng import RandomSource
 
 __all__ = [
     "DEFAULT_KMAX",
+    "MAX_DEPTH",
     "RETRY_BUDGET",
     "DepthExceededError",
     "rect_bounds",
     "rect_area",
     "locate",
     "locate_batch",
-    "encode_points",
+    "write_triples",
     "decode_triples",
     "points_from_triples",
     "simulate",
@@ -48,6 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 60
+MAX_DEPTH = 62
 RETRY_BUDGET = 100
 
 
@@ -56,16 +62,12 @@ class DepthExceededError(RuntimeError):
 
 
 def _offset_in_range(k: int, a: int) -> bool:
-    if k < 0 or a < 0:
-        return False
-    if k > 63:  # every offset a gamma codeword can deliver fits at such depths
-        return True
-    return a <= ((1 << (k - 1)) - 1 if k else 0)
+    return 0 <= k <= MAX_DEPTH and 0 <= a <= ((1 << (k - 1)) - 1 if k else 0)
 
 
 def _check_index(k: int, a: int) -> None:
     if not _offset_in_range(k, a):
-        raise ValueError(f"offset a={a} out of range at depth k={k}")
+        raise ValueError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
 
 
 def rect_bounds(k: int, a: int, f) -> tuple[float, float, float, float]:
@@ -120,8 +122,8 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = DEFAULT_KMAX):
     Points that no rectangle up to k_max catches are flagged in the mask
     rather than raising, so callers can resample just those.
     """
-    if k_max > 62:
-        raise ValueError("offsets are tracked in int64, so k_max must be <= 62")
+    if k_max > MAX_DEPTH:
+        raise ValueError(f"offsets are tracked in int64, so k_max must be <= {MAX_DEPTH}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = xs.size
@@ -186,19 +188,12 @@ def collect_triples(xs, ys, f, retry_rng: RandomSource | None = None,
     return [(int(k), int(a), int(c)) for (k, a), c in zip(uniq, counts)]
 
 
-def encode_points(xs, ys, f, sink: BitSink | None = None, k_max: int = DEFAULT_KMAX) -> BitSink:
-    """Append the codeword for a nonempty batch of hypograph points."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size == 0 or xs.shape != ys.shape:
-        raise ValueError("need matching nonempty coordinate arrays")
-    if sink is None:
-        sink = BitSink()
-    for k, a, count in collect_triples(xs, ys, f, None, k_max):
+def write_triples(triples, sink: BitSink) -> None:
+    """Append each (k, a, count) as shifted-gamma(k), shifted-gamma(a), gamma(count)."""
+    for k, a, count in triples:
         shifted_gamma_encode(k, sink)
         shifted_gamma_encode(a, sink)
         gamma_encode(count, sink)
-    return sink
 
 
 def decode_triples(source: BitSource, n: int) -> list[tuple[int, int, int]]:
@@ -211,7 +206,7 @@ def decode_triples(source: BitSource, n: int) -> list[tuple[int, int, int]]:
         k = shifted_gamma_decode(source)
         a = shifted_gamma_decode(source)
         if not _offset_in_range(k, a):
-            raise FormatError(f"offset a={a} out of range at depth k={k}")
+            raise FormatError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
         count = gamma_decode(source)
         total += count
         if total > n:
@@ -238,18 +233,15 @@ def points_from_triples(triples, gen) -> np.ndarray:
 
 def simulate(f, n: int, rng: RandomSource, k_max: int = DEFAULT_KMAX) -> bytes:
     """Draw n i.i.d. points of f's hypograph and encode their rectangles."""
-    if f.support != "unit":
-        raise ValueError("the dyadic scheme needs a density supported on [0, 1]")
+    if not (isinstance(f, MonotonePdf) and f.support == "unit"):
+        raise ValueError(f"the unit scheme needs a density on [0, 1], got {f!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     sink = BitSink()
     if n == 0:
         return write_container(SCHEME_UNIT, 0, sink)
     xs, ys = _hypograph_draw(f, rng.child("points").gen, n)
-    for k, a, count in collect_triples(xs, ys, f, rng.child("retry"), k_max):
-        shifted_gamma_encode(k, sink)
-        shifted_gamma_encode(a, sink)
-        gamma_encode(count, sink)
+    write_triples(collect_triples(xs, ys, f, rng.child("retry"), k_max), sink)
     return write_container(SCHEME_UNIT, n, sink)
 
 

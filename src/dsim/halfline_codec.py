@@ -20,9 +20,7 @@ from .bitcodes import (
     SCHEME_HALFLINE,
     BitSink,
     FormatError,
-    gamma_encode,
     read_container,
-    shifted_gamma_encode,
     write_container,
 )
 from .distributions import MonotonePdf
@@ -31,6 +29,7 @@ from .dyadic_codec import (
     collect_triples,
     decode_triples,
     points_from_triples,
+    write_triples,
 )
 from .integer_codec import decode_multiset, encode_multiset
 from .rng import RandomSource
@@ -72,8 +71,8 @@ def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
 
 def simulate(f: MonotonePdf, n: int, rng: RandomSource, k_max: int = DEFAULT_KMAX) -> bytes:
     """Draw n i.i.d. values of f and encode bins plus within-bin rectangles."""
-    if f.support != "halfline":
-        raise ValueError("the half-line scheme needs a density supported on [0, inf)")
+    if not (isinstance(f, MonotonePdf) and f.support == "halfline"):
+        raise ValueError(f"the half-line scheme needs a density on [0, inf), got {f!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     sink = BitSink()
@@ -90,10 +89,7 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource, k_max: int = DEFAULT_KMA
         xs = values[inverse == j] - (i - 1)
         restricted = restrict_to_bin(f, i)
         ys = heights.random(xs.size) * restricted.pdf(xs)
-        for k, a, count in collect_triples(xs, ys, restricted, retry.child(i), k_max):
-            shifted_gamma_encode(k, sink)
-            shifted_gamma_encode(a, sink)
-            gamma_encode(count, sink)
+        write_triples(collect_triples(xs, ys, restricted, retry.child(i), k_max), sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
 

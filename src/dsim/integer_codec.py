@@ -26,6 +26,7 @@ from .bitcodes import (
     read_container,
     write_container,
 )
+from .distributions import IntegerDistribution
 from .rng import RandomSource
 
 __all__ = ["encode_multiset", "decode_multiset", "simulate", "desimulate"]
@@ -92,6 +93,8 @@ def simulate(dist, n: int, rng: RandomSource) -> tuple[bytes, np.ndarray]:
     Returns the container bytes and the sorted multiset that was encoded, so
     callers can check losslessness against the decoder's output.
     """
+    if not isinstance(dist, IntegerDistribution):
+        raise ValueError(f"the int scheme needs an integer distribution, got {dist!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     sink = BitSink()

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from dsim.bounds_analysis import (
-    Majorant,
     check_majorization,
     empirical_length,
     exact_expected_length_unit,
@@ -245,7 +244,7 @@ def test_criterion_8_halfline_lengths_below_ceiling_with_majorization(capsys):
         slope, worst = _dominance_run("halfline", dist, trials=50)
         grid = np.geomspace(1e-3, 1e3, 40)
         for f in (exponential(1.0), dist):
-            majorant = Majorant(f.tail_params.c, f.tail_params.lam)
+            majorant = pareto_flat(f.tail_params.c, f.tail_params.lam)
             assert check_majorization(f, majorant, grid), f"{f.name} vs {majorant}"
         note["detail"] = f"mean/bound <= {worst:.3f}, slope {slope:.3f}, majorization holds"
 

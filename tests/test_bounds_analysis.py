@@ -7,7 +7,6 @@ import pytest
 import scipy.stats
 
 from dsim.bounds_analysis import (
-    Majorant,
     check_majorization,
     chi_square,
     chi_square_vs_pmf,
@@ -292,25 +291,25 @@ class TestSlope:
 
 class TestMajorant:
     def test_frozen_shape(self):
-        m = Majorant(2.0, 2.0)
-        assert m.t0 == pytest.approx(math.sqrt(6.0), rel=1e-14)
-        assert m.eval(0.0) == pytest.approx(0.27216552697590873, rel=1e-14)
-        assert m.eval(m.t0 / 2) == m.eval(0.0)
-        for x in (m.t0, 5.0, 40.0):
-            assert m.eval(x) == pytest.approx(2.0 * 2.0 * x**-3.0, rel=1e-12)
+        m = pareto_flat(2.0, 2.0)
+        assert m.params["t0"] == pytest.approx(math.sqrt(6.0), rel=1e-14)
+        assert m.pdf(0.0) == pytest.approx(0.27216552697590873, rel=1e-14)
+        assert m.pdf(m.params["t0"] / 2) == m.pdf(0.0)
+        for x in (m.params["t0"], 5.0, 40.0):
+            assert m.pdf(x) == pytest.approx(2.0 * 2.0 * x**-3.0, rel=1e-12)
 
     def test_flat_level_never_exceeds_one(self):
         for c in (1.1, 2.0, 5.0, 20.0):
             for lam in (1.1, 2.0, 5.0, 10.0):
-                assert Majorant(c, lam).eval(0.0) <= 1.0
+                assert pareto_flat(c, lam).pdf(0.0) <= 1.0
 
     def test_cdf_consistency(self):
-        m = Majorant(2.0, 2.0)
-        assert m.cdf(m.t0) == pytest.approx(m.eval(0.0) * m.t0, rel=1e-12)
+        m = pareto_flat(2.0, 2.0)
+        assert m.cdf(m.params["t0"]) == pytest.approx(m.pdf(0.0) * m.params["t0"], rel=1e-12)
         assert m.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
 
     def test_check_majorization_verdicts(self):
-        m = Majorant(2.0, 2.0)
+        m = pareto_flat(2.0, 2.0)
         grid = np.geomspace(0.01, 50.0, 25)
         assert check_majorization(exponential(1.0), m, grid)
         assert check_majorization(pareto_flat(2.0, 2.0), m, grid)
@@ -318,7 +317,7 @@ class TestMajorant:
         assert not check_majorization(pareto_flat(4.0, 2.0), m, [0.5])
 
     def test_grid_validation(self):
-        m = Majorant(2.0, 2.0)
+        m = pareto_flat(2.0, 2.0)
         with pytest.raises(ValueError):
             check_majorization(exponential(1.0), m, [])
         with pytest.raises(ValueError):

@@ -18,15 +18,16 @@ from dsim.bitcodes import (
 from dsim.distributions import exponential, triangular
 from dsim.dyadic_codec import (
     DepthExceededError,
+    collect_triples,
     decode_triples,
     desimulate,
-    encode_points,
     locate,
     locate_batch,
     points_from_triples,
     rect_area,
     rect_bounds,
     simulate,
+    write_triples,
 )
 from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
@@ -145,11 +146,12 @@ class TestLocate:
 
 
 class TestTripleCodec:
-    def test_encode_points_sorted_lexicographically(self):
+    def test_written_triples_sorted_lexicographically(self):
         rng = RandomSource.from_seed(57)
         xs = TRI.cdf_inverse(rng.gen.random(400))
         ys = rng.gen.random(400) * TRI.pdf(xs)
-        sink = encode_points(xs, ys, TRI)
+        sink = BitSink()
+        write_triples(collect_triples(xs, ys, TRI), sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
         triples = decode_triples(src, 400)
         assert src.bits_remaining == 0
@@ -192,6 +194,19 @@ class TestTripleCodec:
         gamma_encode(1, sink)
         with pytest.raises(FormatError):
             decode_triples(BitSource(sink.to_bytes(), sink.bit_length), 1)
+
+    def test_decode_depth_limit(self):
+        for k, ok in [(62, True), (63, False)]:
+            sink = BitSink()
+            shifted_gamma_encode(k, sink)
+            shifted_gamma_encode(0, sink)
+            gamma_encode(1, sink)
+            src = BitSource(sink.to_bytes(), sink.bit_length)
+            if ok:
+                assert decode_triples(src, 1) == [(k, 0, 1)]
+            else:
+                with pytest.raises(FormatError):
+                    decode_triples(src, 1)
 
     def test_decode_needs_positive_n(self):
         with pytest.raises(ValueError):
@@ -238,6 +253,17 @@ class TestScheme:
         gamma_encode(2, sink)
         sink.write_bit(1)
         data = write_container(SCHEME_UNIT, 2, sink)
+        with pytest.raises(FormatError):
+            desimulate(data, RandomSource.from_seed(1))
+
+    def test_rejects_depth_no_encoder_writes(self):
+        # 2**-5000 underflows, so without a depth limit this decodes to zeros
+        sink = BitSink()
+        shifted_gamma_encode(5000, sink)
+        shifted_gamma_encode(0, sink)
+        gamma_encode(3, sink)
+        data = write_container(SCHEME_UNIT, 3, sink)
+        assert len(data) == 26
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 

@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dsim.bitcodes import SCHEME_HALFLINE, read_container
+from dsim.bitcodes import (
+    SCHEME_HALFLINE,
+    FormatError,
+    gamma_encode,
+    read_container,
+    shifted_gamma_encode,
+    write_container,
+)
 from dsim.distributions import exponential, pareto_flat, triangular
 from dsim.halfline_codec import desimulate, restrict_to_bin, simulate
-from dsim.integer_codec import decode_multiset
+from dsim.integer_codec import decode_multiset, encode_multiset
 from dsim.rng import RandomSource
 
 EXP1 = exponential(1.0)
@@ -111,6 +118,15 @@ class TestScheme:
         from dsim.bitcodes import BitSink, FormatError, write_container, SCHEME_UNIT
 
         data = write_container(SCHEME_UNIT, 0, BitSink())
+        with pytest.raises(FormatError):
+            desimulate(data, RandomSource.from_seed(1))
+
+    def test_rejects_deep_triple_inside_a_bin(self):
+        sink = encode_multiset([2, 2, 2])
+        shifted_gamma_encode(5000, sink)
+        shifted_gamma_encode(0, sink)
+        gamma_encode(3, sink)
+        data = write_container(SCHEME_HALFLINE, 3, sink)
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 

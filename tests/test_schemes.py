@@ -1,0 +1,56 @@
+"""Properties shared by the three schemes: pinned container bytes and the
+check every codec makes on the kind of handle it is given."""
+
+import hashlib
+
+import pytest
+
+from dsim import dyadic_codec, halfline_codec, integer_codec
+from dsim.bounds_analysis import desimulate_any, simulate_any
+from dsim.distributions import exponential, geometric, pareto_flat, triangular, zipf
+from dsim.rng import RandomSource
+
+# sha256 of the container and of the decoded samples' bytes for each built-in
+# scheme/law pair at n = 1000.  A container byte must never change, so these
+# digests may only be re-recorded together with a new format version.
+PINS = [
+    ("int", geometric(0.7), 11,
+     "23eb1617af441806070ae3a3c6e65bada3dab397e1406d0c5494e9bbf514c8c5",
+     "b662877bbb2288397c9adfada8e6f3be92eab3757cf5e0c60e570b6e6d7155de"),
+    ("int", zipf(3.0), 12,
+     "9d913f32fde161d1e60a2f4d7cc6dfc9a3c3c33dcfef9b8f6623e38ae33b8c8e",
+     "8018375a3ca48d7562320633954fd64dcfabd0b8b97a4d9edfc74a9404065341"),
+    ("unit", triangular(), 13,
+     "6c89b109e1aebcff42969196453fb4ede21e17f68a4ecae2377049dc46d14b43",
+     "18dcfbc2303278dbb19392a46c9d459b6d3ac3fa850de00a6f00b4dcf68c5c28"),
+    ("halfline", exponential(1.0), 14,
+     "501b8d20389f3ba01582d2a63ce38fc68587b69c900e18d99e55d540de19ba85",
+     "55c93be23d586f07926c229b6bb6bbc1348b7925ad46a13736d85d404526532c"),
+    ("halfline", pareto_flat(2.0, 2.0), 15,
+     "57509f77849d9e5f2dc18d3608a3a7cf2ccfe0f53939d1561cecc7bf09319cd8",
+     "37c8eb156baf11772d5419295423fc45aa821fbfcab093054c3cd0b206842359"),
+]
+
+
+@pytest.mark.parametrize("scheme, dist, seed, container_sha, samples_sha", PINS,
+                         ids=[f"{p[0]}-{p[1].name}" for p in PINS])
+def test_container_and_samples_are_pinned(scheme, dist, seed, container_sha, samples_sha):
+    root = RandomSource.from_seed(seed)
+    data = simulate_any(scheme, dist, 1000, root.child("encode"))
+    out = desimulate_any(scheme, data, root.child("decode"))
+    assert hashlib.sha256(data).hexdigest() == container_sha
+    assert hashlib.sha256(out.tobytes()).hexdigest() == samples_sha
+
+
+@pytest.mark.parametrize("codec, dist", [
+    (dyadic_codec, geometric(0.5)),
+    (dyadic_codec, exponential(1.0)),
+    (halfline_codec, geometric(0.5)),
+    (halfline_codec, triangular()),
+    (integer_codec, exponential(0.1)),
+    (integer_codec, triangular()),
+], ids=lambda v: getattr(v, "__name__", None) or v.name)
+def test_codecs_reject_handles_of_the_wrong_kind(codec, dist):
+    for seed in range(20):
+        with pytest.raises(ValueError):
+            codec.simulate(dist, 3, RandomSource.from_seed(seed))
