@@ -128,10 +128,6 @@ class BitSource:
         return cls(sink.to_bytes(), bit_length=len(s))
 
     @property
-    def bits_consumed(self) -> int:
-        return self._pos
-
-    @property
     def bits_remaining(self) -> int:
         return self._limit - self._pos
 

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.stats import binom as _binom
 from scipy.stats import chi2 as _chi2
 
 from . import dyadic_codec, halfline_codec, integer_codec
 from .bitcodes import SCHEME_UNIT, gamma_length, read_container, shifted_gamma_length
 from .distributions import IntegerDistribution, MonotonePdf
-from .dyadic_codec import DEFAULT_KMAX, rect_area
+from .dyadic_codec import rect_area
 from .rng import RandomSource
 
 __all__ = [
@@ -127,66 +128,28 @@ def check_majorization(f: MonotonePdf, majorant: MonotonePdf, grid, tol: float =
     return True
 
 
-def _mean_gamma_length_binomial(n: int, p: float) -> float:
-    """E[gamma_length(M); M >= 1] for M ~ Binomial(n, p).
-
-    The pmf is walked outward from its mode by the stable ratio recurrence;
-    terms below 1e-14 of the peak are dropped, truncating relative mass far
-    below any tolerance used downstream.
-    """
-    if p >= 1.0:
-        return float(gamma_length(n))
-    if p <= 0.0:
-        return 0.0
-    mode = min(max(int((n + 1) * p), 0), n)
-    log_pmf = (math.lgamma(n + 1) - math.lgamma(mode + 1) - math.lgamma(n - mode + 1)
-               + mode * math.log(p) + (n - mode) * math.log1p(-p))
-    p_mode = math.exp(log_pmf)
-    ratio = p / (1.0 - p)
-    cut = p_mode * 1e-14
-    total = p_mode * gamma_length(mode) if mode >= 1 else 0.0
-    prob, m = p_mode, mode
-    while m < n:
-        prob *= ratio * (n - m) / (m + 1)
-        m += 1
-        if prob < cut:
-            break
-        total += prob * gamma_length(m)
-    prob, m = p_mode, mode
-    while m > 1:
-        prob *= (m / (n - m + 1)) / ratio
-        m -= 1
-        if prob < cut:
-            break
-        total += prob * gamma_length(m)
-    return total
-
-
 def exact_expected_length_unit(f: MonotonePdf, n: int, k_max: int = 8) -> float:
     """Exact expected payload bits of the unit scheme, truncated to depth k_max.
 
-    Sums, over every rectangle of positive area A: the index header cost
-    times the probability the rectangle is occupied, 1 - (1 - A)**n, plus
-    the expected gamma length of its occupancy count.  Rectangles deeper
-    than k_max are excluded; empirical comparisons must restrict to the same
-    depths, since the excluded tail is cheap per sample but not zero.
+    A rectangle of area A holds M ~ Binomial(n, A) points and costs its index
+    header h plus gamma_length(M) = 1 + 2 #{j >= 1 : 2**j <= M} when M >= 1,
+    so it adds (h + 1) P(M >= 1) + 2 sum_j P(M >= 2**j), with the tail
+    probabilities taken from the binomial survival function.  Rectangles
+    deeper than k_max are excluded; empirical comparisons must restrict to
+    the same depths, since the excluded tail is cheap per sample but not zero.
     """
     if f.support != "unit":
         raise ValueError("the unit-scheme enumerator needs a density on [0, 1]")
     _require(n >= 1, "n must be >= 1")
+    cuts = (1 << np.arange(int(n).bit_length()))[:, None] - 1  # P(M >= 2**j) = sf(2**j - 1)
     total = 0.0
     for k in range(k_max + 1):
-        head_k = shifted_gamma_length(k)
-        for a in range(1 if k == 0 else 2 ** (k - 1)):
-            area = rect_area(k, a, f)
-            if area <= 0.0:
-                continue
-            head = head_k + shifted_gamma_length(a)
-            if area >= 1.0:
-                occupied = 1.0
-            else:
-                occupied = -math.expm1(n * math.log1p(-area))
-            total += head * occupied + _mean_gamma_length_binomial(n, area)
+        offsets = range(1 if k == 0 else 2 ** (k - 1))
+        # rounding can push an area a hair past 1, where the binomial is undefined
+        areas = np.minimum([rect_area(k, a, f) for a in offsets], 1.0)
+        heads = np.array([shifted_gamma_length(k) + shifted_gamma_length(a) + 1 for a in offsets])
+        tail = _binom.sf(cuts, n, areas)
+        total += float(heads @ tail[0] + 2.0 * tail[1:].sum())
     return total
 
 

@@ -13,8 +13,9 @@ the x-coordinate is uniform on that rectangle's x-interval.
 The codeword lists the occupied rectangles in lexicographic (k, a) order,
 each as shifted-gamma(k), shifted-gamma(a), gamma(count); write_triples is
 the one writer of that layout, for this scheme and the half-line scheme.
-No rectangle lies deeper than MAX_DEPTH: the locator cannot reach past it,
-and the decoder rejects deeper triples.
+No rectangle lies deeper than MAX_DEPTH, the one depth limit: the encoder
+searches every depth up to it before it resamples a point, the locator
+cannot reach past it, and the decoder rejects deeper triples.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .distributions import MonotonePdf
 from .rng import RandomSource
 
 __all__ = [
-    "DEFAULT_KMAX",
     "MAX_DEPTH",
     "RETRY_BUDGET",
     "DepthExceededError",
@@ -52,7 +52,6 @@ __all__ = [
     "desimulate",
 ]
 
-DEFAULT_KMAX = 60
 MAX_DEPTH = 62
 RETRY_BUDGET = 100
 
@@ -85,7 +84,7 @@ def rect_area(k: int, a: int, f) -> float:
     return (x_hi - x_lo) * max(y_hi - y_lo, 0.0)
 
 
-def locate(x: float, y: float, f, k_max: int = DEFAULT_KMAX) -> tuple[int, int]:
+def locate(x: float, y: float, f, k_max: int = MAX_DEPTH) -> tuple[int, int]:
     """Indices (k, a) of the rectangle containing hypograph point (x, y).
 
     The offset is tracked by doubling x one bit at a time, which is exact in
@@ -116,7 +115,7 @@ def locate(x: float, y: float, f, k_max: int = DEFAULT_KMAX) -> tuple[int, int]:
     raise DepthExceededError(f"no rectangle up to depth {k_max} contains the point")
 
 
-def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = DEFAULT_KMAX):
+def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = MAX_DEPTH):
     """Vectorized locate.  Returns (ks, offsets, unresolved_mask).
 
     Points that no rectangle up to k_max catches are flagged in the mask
@@ -161,25 +160,23 @@ def _hypograph_draw(f, gen, size: int):
     return xs, ys
 
 
-def collect_triples(xs, ys, f, retry_rng: RandomSource | None = None,
-                    k_max: int = DEFAULT_KMAX) -> list[tuple[int, int, int]]:
+def collect_triples(xs, ys, f, retry_rng: RandomSource) -> list[tuple[int, int, int]]:
     """Sorted (k, a, count) triples covering the given hypograph points.
 
-    With a retry source, points that exhaust the depth budget are replaced
-    by fresh hypograph draws (up to RETRY_BUDGET rounds), which leaves the
-    encoded law unchanged; without one, DepthExceededError propagates.
+    Points that no rectangle up to MAX_DEPTH catches are replaced by fresh
+    hypograph draws from retry_rng, which leaves the encoded law unchanged.
+    DepthExceededError is raised if some are still uncaught after
+    RETRY_BUDGET rounds.
     """
-    ks, offs, bad = locate_batch(xs, ys, f, k_max)
+    ks, offs, bad = locate_batch(xs, ys, f)
     rounds = 0
     while bad.any():
-        if retry_rng is None:
-            raise DepthExceededError(f"no rectangle up to depth {k_max} contains a point")
         rounds += 1
         if rounds > RETRY_BUDGET:
             raise DepthExceededError(f"depth budget still exhausted after {RETRY_BUDGET} resamples")
         idx = np.flatnonzero(bad)
         rx, ry = _hypograph_draw(f, retry_rng.gen, idx.size)
-        rks, roffs, rbad = locate_batch(rx, ry, f, k_max)
+        rks, roffs, rbad = locate_batch(rx, ry, f)
         ks[idx] = rks
         offs[idx] = roffs
         bad[idx] = rbad
@@ -231,7 +228,7 @@ def points_from_triples(triples, gen) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def simulate(f, n: int, rng: RandomSource, k_max: int = DEFAULT_KMAX) -> bytes:
+def simulate(f, n: int, rng: RandomSource) -> bytes:
     """Draw n i.i.d. points of f's hypograph and encode their rectangles."""
     if not (isinstance(f, MonotonePdf) and f.support == "unit"):
         raise ValueError(f"the unit scheme needs a density on [0, 1], got {f!r}")
@@ -241,7 +238,7 @@ def simulate(f, n: int, rng: RandomSource, k_max: int = DEFAULT_KMAX) -> bytes:
     if n == 0:
         return write_container(SCHEME_UNIT, 0, sink)
     xs, ys = _hypograph_draw(f, rng.child("points").gen, n)
-    write_triples(collect_triples(xs, ys, f, rng.child("retry"), k_max), sink)
+    write_triples(collect_triples(xs, ys, f, rng.child("retry")), sink)
     return write_container(SCHEME_UNIT, n, sink)
 
 

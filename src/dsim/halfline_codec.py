@@ -25,7 +25,6 @@ from .bitcodes import (
 )
 from .distributions import MonotonePdf
 from .dyadic_codec import (
-    DEFAULT_KMAX,
     collect_triples,
     decode_triples,
     points_from_triples,
@@ -62,14 +61,25 @@ def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
         return np.clip((top - f.tail(xc + shift)) / mass, 0.0, 1.0)
 
     def cdf_inverse(u):
-        out = f.cdf_inverse(np.minimum(f.cdf(shift) + u * mass, np.nextafter(1.0, 0.0))) - shift
-        return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
+        # Bisect cdf over the int64 bit patterns of [0, 1), which sort like the
+        # floats they encode: 62 halvings reach 1 ulp at every scale, while
+        # inverting f's own cdf at f.cdf(shift) + u * mass would saturate in
+        # tail bins, where f.cdf is within rounding of 1.
+        one = np.float64(1.0).view(np.int64)
+        lo = np.zeros(np.shape(u), dtype=np.int64)
+        hi = np.full(np.shape(u), one)
+        for _ in range(62):
+            mid = (lo + hi) >> 1
+            below = cdf(mid.view(np.float64)) < u
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return np.minimum(hi, one - 1).view(np.float64)
 
     return MonotonePdf(f"{f.name}[bin {i}]", "unit", pdf, cdf, cdf_inverse,
                        f0=f.pdf(shift) / mass, params={"bin": i, "mass": mass})
 
 
-def simulate(f: MonotonePdf, n: int, rng: RandomSource, k_max: int = DEFAULT_KMAX) -> bytes:
+def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     """Draw n i.i.d. values of f and encode bins plus within-bin rectangles."""
     if not (isinstance(f, MonotonePdf) and f.support == "halfline"):
         raise ValueError(f"the half-line scheme needs a density on [0, inf), got {f!r}")
@@ -89,7 +99,7 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource, k_max: int = DEFAULT_KMA
         xs = values[inverse == j] - (i - 1)
         restricted = restrict_to_bin(f, i)
         ys = heights.random(xs.size) * restricted.pdf(xs)
-        write_triples(collect_triples(xs, ys, restricted, retry.child(i), k_max), sink)
+        write_triples(collect_triples(xs, ys, restricted, retry.child(i)), sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
 

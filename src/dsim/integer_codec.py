@@ -41,25 +41,15 @@ def encode_multiset(values, sink: BitSink | None = None) -> BitSink:
         raise ValueError("multiset values must be >= 1")
     if sink is None:
         sink = BitSink()
-    arr = np.sort(arr)
-    diffs = np.empty(arr.size, dtype=np.int64)
-    diffs[0] = arr[0]
-    np.subtract(arr[1:], arr[:-1], out=diffs[1:])
-    gamma_encode(int(diffs[0]), sink)
-    positive = np.flatnonzero(diffs[1:] > 0) + 1
-    i, n = 1, arr.size
-    nxt = 0  # index into positive[] of the next positive difference at or after i
-    while i < n:
-        if nxt < positive.size and positive[nxt] == i:
+    uniq, counts = np.unique(arr, return_counts=True)
+    gaps = np.diff(uniq, prepend=0)
+    for j, (gap, m) in enumerate(zip(gaps.tolist(), counts.tolist())):
+        if j:
             sink.write_bit(1)
-            gamma_encode(int(diffs[i]), sink)
-            nxt += 1
-            i += 1
-        else:
-            run_end = int(positive[nxt]) if nxt < positive.size else n
+        gamma_encode(gap, sink)
+        if m > 1:
             sink.write_bit(0)
-            gamma_encode(run_end - i, sink)
-            i = run_end
+            gamma_encode(m - 1, sink)
     return sink
 
 

@@ -29,6 +29,7 @@ from dsim.bounds_analysis import (
 from dsim.bitcodes import gamma_length, read_container, shifted_gamma_length
 from dsim.distributions import exponential, geometric, pareto_flat, triangular, zipf
 from dsim.dyadic_codec import decode_triples, rect_area, simulate as unit_simulate
+from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
 
 
@@ -122,6 +123,12 @@ class TestEnumerator:
             if rect_area(k, a, f) > 0.0
         )
         assert exact_expected_length_unit(f, 1, k_max=k_max) == pytest.approx(expected, rel=1e-12)
+
+    def test_area_rounded_past_one(self):
+        # a nearly flat law's depth-0 area rounds above 1; it counts as certain
+        f = restrict_to_bin(exponential(1e-9), 1)
+        assert rect_area(0, 0, f) > 1.0
+        assert exact_expected_length_unit(f, 100) == pytest.approx(15.0, rel=1e-6)
 
     def test_nondecreasing_in_n(self):
         f = triangular()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsim import dyadic_codec, halfline_codec
 from dsim.bitcodes import (
     SCHEME_UNIT,
     BitSink,
@@ -15,8 +16,10 @@ from dsim.bitcodes import (
     shifted_gamma_encode,
     write_container,
 )
+from dsim.bounds_analysis import ks_two_sample
 from dsim.distributions import exponential, triangular
 from dsim.dyadic_codec import (
+    MAX_DEPTH,
     DepthExceededError,
     collect_triples,
     decode_triples,
@@ -151,7 +154,7 @@ class TestTripleCodec:
         xs = TRI.cdf_inverse(rng.gen.random(400))
         ys = rng.gen.random(400) * TRI.pdf(xs)
         sink = BitSink()
-        write_triples(collect_triples(xs, ys, TRI), sink)
+        write_triples(collect_triples(xs, ys, TRI, rng.child("retry")), sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
         triples = decode_triples(src, 400)
         assert src.bits_remaining == 0
@@ -273,3 +276,39 @@ class TestScheme:
         data = simulate(TRI, n, RandomSource.from_seed(seed))
         out = desimulate(data, RandomSource.from_seed(seed + 1))
         assert out.size == n
+
+
+# A steep law puts about 3% of its hypograph points beyond depth MAX_DEPTH, so
+# every stream of a few thousand draws goes through the resampling path.
+STEEP_HALFLINE = exponential(2.0**58)
+STEEP_UNIT = restrict_to_bin(STEEP_HALFLINE, 1)
+
+
+class TestResampling:
+    def test_encoder_draws_reach_past_the_depth_limit(self):
+        gen = RandomSource.from_seed(70).child("points").gen
+        xs = STEEP_UNIT.cdf_inverse(gen.random(5000))
+        ys = gen.random(5000) * STEEP_UNIT.pdf(xs)
+        assert locate_batch(xs, ys, STEEP_UNIT)[2].any()
+
+    def test_collect_triples_resamples_within_the_limit(self):
+        rng = RandomSource.from_seed(71)
+        xs = STEEP_UNIT.cdf_inverse(rng.gen.random(5000))
+        ys = rng.gen.random(5000) * STEEP_UNIT.pdf(xs)
+        triples = collect_triples(xs, ys, STEEP_UNIT, rng.child("retry"))
+        assert sum(c for _, _, c in triples) == 5000
+        assert max(k for k, _, _ in triples) <= MAX_DEPTH
+
+    @pytest.mark.parametrize("codec, f", [(dyadic_codec, STEEP_UNIT), (halfline_codec, STEEP_HALFLINE)],
+                             ids=["unit", "halfline"])
+    def test_round_trip_law(self, codec, f):
+        n = 5000
+        data = codec.simulate(f, n, RandomSource.from_seed(72))
+        assert data == codec.simulate(f, n, RandomSource.from_seed(72))
+        out = codec.desimulate(data, RandomSource.from_seed(73))
+        assert np.array_equal(out, codec.desimulate(data, RandomSource.from_seed(73)))
+        assert out.size == n
+        assert np.all((out >= 0.0) & (out < 1.0))
+        # the unit law is the exponential's bin 1, which holds all but e**-(2**58) of its mass
+        stat, ok = ks_two_sample(out, STEEP_HALFLINE.sample(RandomSource.from_seed(74), n), alpha=0.01)
+        assert ok, f"KS={stat:.4f}"

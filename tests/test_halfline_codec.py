@@ -55,6 +55,21 @@ class TestRestriction:
         assert np.allclose(fi.cdf(fi.cdf_inverse(us)), us, atol=1e-9)
         assert np.all(fi.cdf_inverse(us) < 1.0)
 
+    def test_tail_bin_inverse_resolves_every_uniform(self):
+        # inverting the unrestricted cdf at cdf(i - 1) + u * mass saturates this deep
+        us = RandomSource.from_seed(12).gen.random(10_000)
+        for fi in (restrict_to_bin(EXP1, 40), restrict_to_bin(pareto_flat(2.0, 2.0), 10**5)):
+            xs = fi.cdf_inverse(us)
+            assert np.unique(xs).size == us.size
+            assert np.max(np.abs(fi.cdf(xs) - us)) <= 1e-9
+
+    def test_head_bin_inverse_matches_closed_form(self):
+        lam = 2.0**58
+        f1 = restrict_to_bin(exponential(lam), 1)
+        us = RandomSource.from_seed(13).gen.random(10_000)
+        expected = -np.log1p(-us * f1.params["mass"]) / lam
+        assert np.allclose(f1.cdf_inverse(us), expected, rtol=1e-9, atol=0.0)
+
     def test_pdf_is_conditional_density(self):
         fi = restrict_to_bin(pareto_flat(2.0, 2.0), 2)
         mass = fi.params["mass"]
