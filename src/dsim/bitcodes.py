@@ -15,7 +15,6 @@ __all__ = [
     "SCHEME_INTEGER",
     "SCHEME_UNIT",
     "SCHEME_HALFLINE",
-    "SCHEME_BY_NAME",
     "SCHEME_NAMES",
     "HEADER_SIZE",
     "FormatError",
@@ -43,8 +42,7 @@ SCHEME_INTEGER = 0x01
 SCHEME_UNIT = 0x02
 SCHEME_HALFLINE = 0x03
 
-SCHEME_BY_NAME = {"int": SCHEME_INTEGER, "unit": SCHEME_UNIT, "halfline": SCHEME_HALFLINE}
-SCHEME_NAMES = {v: k for k, v in SCHEME_BY_NAME.items()}
+SCHEME_NAMES = {SCHEME_INTEGER: "int", SCHEME_UNIT: "unit", SCHEME_HALFLINE: "halfline"}
 
 
 class FormatError(ValueError):
@@ -236,8 +234,6 @@ def read_container(data: bytes) -> tuple[ContainerHeader, BitSource]:
         raise FormatError(f"header declares {payload_bits} payload bits but only {body_bits} are present")
     if body_bits - payload_bits >= 8:
         raise FormatError("container holds more than one byte of padding")
-    tail = BitSource(data, bit_length=body_bits - payload_bits, bit_offset=8 * HEADER_SIZE + payload_bits)
-    while tail.bits_remaining:
-        if tail.read_bit():
-            raise FormatError("padding bits after the payload must be zero")
+    if data[-1] & ((1 << (body_bits - payload_bits)) - 1):
+        raise FormatError("padding bits after the payload must be zero")
     return ContainerHeader(scheme, n, payload_bits), BitSource(data, payload_bits, bit_offset=8 * HEADER_SIZE)

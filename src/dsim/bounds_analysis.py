@@ -19,7 +19,7 @@ from scipy.stats import binom as _binom
 from scipy.stats import chi2 as _chi2
 
 from . import dyadic_codec, halfline_codec, integer_codec
-from .bitcodes import SCHEME_UNIT, gamma_length, read_container, shifted_gamma_length
+from .bitcodes import SCHEME_NAMES, SCHEME_UNIT, gamma_length, read_container, shifted_gamma_length
 from .distributions import IntegerDistribution, MonotonePdf
 from .dyadic_codec import rect_area
 from .rng import RandomSource
@@ -103,9 +103,9 @@ def paper_gamma_accounting(z: int) -> int:
     return (z * z).bit_length()
 
 
-def check_majorization(f: MonotonePdf, majorant: MonotonePdf, grid, tol: float = 1e-9) -> bool:
+def check_majorization(f: MonotonePdf, majorant: MonotonePdf, grid) -> bool:
     """True iff the head mass of f dominates the majorant's on the grid:
-    integral of f over [0, x] >= integral of the majorant, for every grid x.
+    integral of f over [0, x] >= integral of the majorant - 1e-9 at every grid x.
 
     The majorant is pareto_flat(c, lam), the least non-increasing density
     consistent with a (c, lam) power certificate: any density whose tail
@@ -123,7 +123,7 @@ def check_majorization(f: MonotonePdf, majorant: MonotonePdf, grid, tol: float =
     for x in grid:
         pts = sorted(p for p in kinks if 0.0 < p < x) or None
         head, _ = quad(f.pdf, 0.0, float(x), points=pts, limit=200, epsabs=1e-12, epsrel=1e-10)
-        if head < float(majorant.cdf(x)) - tol:
+        if head < float(majorant.cdf(x)) - 1e-9:
             return False
     return True
 
@@ -184,23 +184,21 @@ class EmpiricalLength:
 _CODECS = {"int": integer_codec, "unit": dyadic_codec, "halfline": halfline_codec}
 
 
-def _codec(scheme: str):
-    if scheme not in _CODECS:
-        raise ValueError(f"unknown scheme {scheme!r}; choices: {', '.join(_CODECS)}")
-    return _CODECS[scheme]
+def simulate_any(dist, n: int, rng: RandomSource) -> bytes:
+    """Encode with the codec of the law's support."""
+    support = getattr(dist, "support", None)
+    if support not in _CODECS:
+        raise ValueError(f"{dist!r} has no support among {', '.join(_CODECS)}")
+    data = _CODECS[support].simulate(dist, n, rng)
+    return data[0] if support == "int" else data
 
 
-def simulate_any(scheme: str, dist, n: int, rng: RandomSource) -> bytes:
-    """Run the named scheme's encoder; it rejects a handle of the wrong kind."""
-    data = _codec(scheme).simulate(dist, n, rng)
-    return data[0] if scheme == "int" else data
+def desimulate_any(data: bytes, rng: RandomSource) -> np.ndarray:
+    """Decode with the codec that the container's scheme byte names."""
+    return _CODECS[SCHEME_NAMES[read_container(data)[0].scheme]].desimulate(data, rng)
 
 
-def desimulate_any(scheme: str, data: bytes, rng: RandomSource) -> np.ndarray:
-    return _codec(scheme).desimulate(data, rng)
-
-
-def empirical_length(scheme: str, dist, n: int, trials: int, seed: int) -> EmpiricalLength:
+def empirical_length(dist, n: int, trials: int, seed: int) -> EmpiricalLength:
     """Mean payload bits over independent simulate runs, with standard error.
 
     Trial t draws from the substream (seed, t), so results are reproducible
@@ -210,28 +208,28 @@ def empirical_length(scheme: str, dist, n: int, trials: int, seed: int) -> Empir
     root = RandomSource.from_seed(seed)
     lengths = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        data = simulate_any(scheme, dist, n, root.child("trial", t))
+        data = simulate_any(dist, n, root.child("trial", t))
         lengths[t] = read_container(data)[0].payload_bits
     mean = float(lengths.mean())
     stderr = float(lengths.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return EmpiricalLength(scheme, getattr(dist, "name", str(dist)), n, trials,
+    return EmpiricalLength(dist.support, dist.name, n, trials,
                            mean, stderr, tuple(int(v) for v in lengths))
 
 
-def reference_bound(scheme: str, dist, n: int) -> float | None:
-    """The closed-form ceiling matching a scheme and the handle's certificate."""
-    _codec(scheme)  # an unknown name raises
-    if scheme == "unit":
+def reference_bound(dist, n: int) -> float | None:
+    """The closed-form ceiling matching the law's support and certificate."""
+    if dist.support == "unit":
         return thm3_bound(dist.f0, n)
     cert = dist.tail_params
     if cert is None:
         return None
-    if scheme == "int":
+    if dist.support == "int":
         return (thm2_bound if cert.kind == "exponential" else thm1_bound)(cert.c, cert.lam, n)
     return thm4_bound(cert.c, cert.lam, dist.f0, n) if cert.kind == "power" else None
 
 
 _KS_COEFF = {0.01: 1.628, 0.05: 1.358, 0.10: 1.224}
+_MIN_EXPECTED = 10.0  # least expected count of a chi-square cell
 
 
 def ks_two_sample(a, b, alpha: float = 0.01) -> tuple[float, bool]:
@@ -270,14 +268,14 @@ def chi_square(counts, probs, alpha: float = 0.01) -> tuple[float, bool]:
     return stat, stat <= critical
 
 
-def integer_cells(dist: IntegerDistribution, n_draws: int, min_expected: float = 10.0) -> tuple[int, np.ndarray]:
+def integer_cells(dist: IntegerDistribution, n_draws: int) -> tuple[int, np.ndarray]:
     """Cut points for a chi-square test: cells {1}, ..., {K}, {> K} chosen so
-    every expected count is at least min_expected.  Returns (K, probs)."""
+    every expected count is at least 10.  Returns (K, probs)."""
     _require(n_draws >= 1, "n_draws must be >= 1")
     k = 1
-    while k < 64 and n_draws * float(dist.pmf(k + 1)) >= min_expected:
+    while k < 64 and n_draws * float(dist.pmf(k + 1)) >= _MIN_EXPECTED:
         k += 1
-    while k > 1 and n_draws * float(dist.tail(k)) < min_expected:
+    while k > 1 and n_draws * float(dist.tail(k)) < _MIN_EXPECTED:
         k -= 1
     probs = np.append(dist.pmf(np.arange(1, k + 1)), float(dist.tail(k)))
     return k, probs
@@ -291,16 +289,16 @@ def chi_square_vs_pmf(samples, dist: IntegerDistribution, alpha: float = 0.01) -
     return chi_square(counts, probs, alpha)
 
 
-def verify_trial(scheme: str, dist, n: int, rng: RandomSource, alpha: float = 0.01) -> tuple[str, float, bool]:
+def verify_trial(dist, n: int, rng: RandomSource, alpha: float = 0.01) -> tuple[str, float, bool]:
     """One encode/decode round trip plus a distribution test on the output.
 
     Integer outputs face a chi-square test against the declared pmf; real
     outputs face a two-sample KS test against a fresh direct sample.
     Returns (test name, statistic, accepted).
     """
-    data = simulate_any(scheme, dist, n, rng.child("sim"))
-    out = desimulate_any(scheme, data, rng.child("dec"))
-    if scheme == "int":
+    data = simulate_any(dist, n, rng.child("sim"))
+    out = desimulate_any(data, rng.child("dec"))
+    if dist.support == "int":
         stat, ok = chi_square_vs_pmf(out, dist, alpha)
         return "chi_square", stat, ok
     reference = dist.sample(rng.child("ref"), n)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bounds_analysis
-from .bitcodes import SCHEME_BY_NAME, SCHEME_NAMES, FormatError, TruncatedStreamError, read_container
+from .bitcodes import FormatError, TruncatedStreamError, read_container
 from .distributions import parse_spec
 from .rng import RandomSource
 
@@ -53,11 +53,11 @@ def _int_list(spec: str) -> list[int]:
 
 def cmd_encode(args) -> int:
     dist = parse_spec(args.dist)
-    data = bounds_analysis.simulate_any(args.scheme, dist, args.n, RandomSource.from_seed(args.seed))
+    data = bounds_analysis.simulate_any(dist, args.n, RandomSource.from_seed(args.seed))
     with open(args.output, "wb") as fh:
         fh.write(data)
     header = read_container(data)[0]
-    print(f"wrote {args.output}: scheme={args.scheme} n={header.n} payload_bits={header.payload_bits}")
+    print(f"wrote {args.output}: scheme={dist.support} n={header.n} payload_bits={header.payload_bits}")
     return 0
 
 
@@ -69,13 +69,12 @@ def cmd_decode(args) -> int:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
     try:
-        header = read_container(data)[0]
+        read_container(data)
     except (FormatError, TruncatedStreamError) as exc:
         print(f"error: container: {exc}", file=sys.stderr)
         return 1
-    scheme = SCHEME_NAMES[header.scheme]
     try:
-        values = bounds_analysis.desimulate_any(scheme, data, RandomSource.from_seed(args.seed))
+        values = bounds_analysis.desimulate_any(data, RandomSource.from_seed(args.seed))
     except (FormatError, TruncatedStreamError) as exc:
         print(f"error: payload: {exc}", file=sys.stderr)
         return 1
@@ -93,14 +92,14 @@ def cmd_bench(args) -> int:
     rows = ["scheme,dist,n,trials,mean_bits,stderr_bits,bound_bits"]
     means = []
     for n in args.n_list:
-        result = bounds_analysis.empirical_length(args.scheme, dist, n, args.trials, args.seed)
-        bound = bounds_analysis.reference_bound(args.scheme, dist, n)
+        result = bounds_analysis.empirical_length(dist, n, args.trials, args.seed)
+        bound = bounds_analysis.reference_bound(dist, n)
         means.append((n, result.mean))
-        rows.append(",".join([args.scheme, args.dist, str(n), str(args.trials),
+        rows.append(",".join([dist.support, args.dist, str(n), str(args.trials),
                               _fmt(result.mean), _fmt(result.stderr),
                               _fmt(bound) if bound is not None else ""]))
     slope = bounds_analysis.loglog_slope(means) if len({n for n, _ in means}) >= 2 else float("nan")
-    rows.append(",".join([args.scheme, args.dist, "slope", str(args.trials), _fmt(slope), "", ""]))
+    rows.append(",".join([dist.support, args.dist, "slope", str(args.trials), _fmt(slope), "", ""]))
     _write_text(args.output, "\n".join(rows) + "\n")
     return 0
 
@@ -131,7 +130,7 @@ def cmd_verify(args) -> int:
     root = RandomSource.from_seed(args.seed)
     passed = 0
     for t in range(args.trials):
-        name, stat, ok = bounds_analysis.verify_trial(args.scheme, dist, args.n, root.child("trial", t), args.alpha)
+        name, stat, ok = bounds_analysis.verify_trial(dist, args.n, root.child("trial", t), args.alpha)
         passed += ok
         print(f"trial {t}: {name} stat={_fmt(stat)} {'pass' if ok else 'FAIL'}")
     rate = passed / args.trials
@@ -144,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="draw n samples and write a container file")
-    p.add_argument("--scheme", required=True, choices=SCHEME_BY_NAME)
     p.add_argument("--dist", required=True, help="e.g. geometric:p=0.7, zipf:s=3, triangular, exp:lambda=1, pareto_flat:c=2,lambda=2")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -158,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("bench", help="empirical mean lengths vs the closed-form ceiling")
-    p.add_argument("--scheme", required=True, choices=SCHEME_BY_NAME)
     p.add_argument("--dist", required=True)
     p.add_argument("--n-list", type=_int_list, required=True, help="comma separated, e.g. 100,1000,10000")
     p.add_argument("--trials", type=int, required=True)
@@ -182,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact_length)
 
     p = sub.add_parser("verify", help="round-trip distribution tests over many seeds")
-    p.add_argument("--scheme", required=True, choices=SCHEME_BY_NAME)
     p.add_argument("--dist", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)

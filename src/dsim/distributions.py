@@ -61,6 +61,8 @@ class TailParams:
 class IntegerDistribution:
     """A law on {1, 2, ...} with an exact sampler."""
 
+    support = "int"
+
     def __init__(self, name: str, pmf, tail, sampler, tail_params: TailParams | None = None):
         self.name = name
         self._pmf = pmf

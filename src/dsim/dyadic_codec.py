@@ -214,18 +214,17 @@ def decode_triples(source: BitSource, n: int) -> list[tuple[int, int, int]]:
 
 def points_from_triples(triples, gen) -> np.ndarray:
     """Fresh uniforms on each triple's x-interval, concatenated in triple order."""
-    chunks = []
-    for k, a, count in triples:
+    for k, a, _ in triples:
         _check_index(k, a)
-        width = 2.0 ** -k
-        lo = a * (2.0 * width)
-        seg = lo + gen.random(count) * width
-        # rounding may graze the open right endpoint; pull it back inside
-        np.minimum(seg, np.nextafter(lo + width, lo), out=seg)
-        chunks.append(seg)
-    if not chunks:
-        return np.empty(0, dtype=float)
-    return np.concatenate(chunks)
+    ks, offs, counts = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    width = np.ldexp(1.0, -ks)
+    lo = offs * (2.0 * width)
+    # one draw of all the uniforms equals the per-triple draws in triple order
+    out = gen.random(int(counts.sum()))
+    out *= np.repeat(width, counts)
+    out += np.repeat(lo, counts)
+    # rounding may graze the open right endpoint; pull it back inside
+    return np.minimum(out, np.repeat(np.nextafter(lo + width, lo), counts), out=out)
 
 
 def simulate(f, n: int, rng: RandomSource) -> bytes:

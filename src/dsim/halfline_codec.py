@@ -39,8 +39,8 @@ __all__ = ["restrict_to_bin", "simulate", "desimulate"]
 def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
     """The law of X - (i - 1) given X in [i - 1, i), as a unit-support handle.
 
-    Mass is computed from survival-function differences, which stays
-    accurate deep in the tail where cdf values saturate at 1.
+    P(i - 1 <= X < x) is a difference of cdf values while f.cdf(x) <= 1/2 and
+    of survival values beyond, so it cancels neither near 0 nor deep in the tail.
     """
     if f.support != "halfline":
         raise ValueError("restriction is defined for half-line densities")
@@ -48,17 +48,21 @@ def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
     if i < 1:
         raise ValueError("bin index must be >= 1")
     shift = float(i - 1)
-    mass = f.tail(shift) - f.tail(float(i))
+
+    def mass_up_to(x):
+        head = f.cdf(x)
+        return np.where(head <= 0.5, head - f.cdf(shift), f.tail(shift) - f.tail(x))
+
+    mass = float(mass_up_to(float(i)))
     if not mass > 0.0:
         raise ValueError(f"bin {i} carries no probability mass")
-    top = f.tail(shift)
 
     def pdf(x):
         return np.where((x >= 0.0) & (x <= 1.0), f.pdf(x + shift) / mass, 0.0)
 
     def cdf(x):
         xc = np.clip(x, 0.0, 1.0)
-        return np.clip((top - f.tail(xc + shift)) / mass, 0.0, 1.0)
+        return np.clip(mass_up_to(xc + shift) / mass, 0.0, 1.0)
 
     def cdf_inverse(u):
         # Bisect cdf over the int64 bit patterns of [0, 1), which sort like the
@@ -93,10 +97,10 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     encode_multiset(bins, sink)
     heights = rng.child("heights").gen
     retry = rng.child("retry")
-    uniq, inverse = np.unique(bins, return_inverse=True)
-    for j, i in enumerate(uniq):
-        i = int(i)
-        xs = values[inverse == j] - (i - 1)
+    # a stable sort keeps each bin's draws in draw order
+    order = np.argsort(bins, kind="stable")
+    uniq, starts = np.unique(bins[order], return_index=True)
+    for i, xs in zip(uniq.tolist(), np.split((values - (bins - 1))[order], starts[1:])):
         restricted = restrict_to_bin(f, i)
         ys = heights.random(xs.size) * restricted.pdf(xs)
         write_triples(collect_triples(xs, ys, restricted, retry.child(i)), sink)

@@ -100,12 +100,12 @@ def test_criterion_2_thousand_lossless_round_trips(capsys):
         note["detail"] = f"1000/1000 multisets identical in {elapsed:.1f} s"
 
 
-def _dominance_run(scheme, dist, trials, seed=2026):
+def _dominance_run(dist, trials, seed=2026):
     means = []
     worst = 0.0
     for n in (100, 1000, 10**4):
-        result = empirical_length(scheme, dist, n, trials, seed)
-        bound = reference_bound(scheme, dist, n)
+        result = empirical_length(dist, n, trials, seed)
+        bound = reference_bound(dist, n)
         assert result.mean <= bound, f"n={n}: mean {result.mean:.1f} > bound {bound:.1f}"
         worst = max(worst, result.mean / bound)
         means.append((n, result.mean))
@@ -120,8 +120,8 @@ def test_criterion_3_geometric_below_exponential_tail_ceiling(capsys):
         cert = dist.tail_params
         assert cert.kind == "exponential" and cert.c == 1.5
         assert cert.lam == pytest.approx(math.log(10 / 3), rel=1e-12)
-        assert reference_bound("int", dist, 50) == thm2_bound(cert.c, cert.lam, 50)
-        slope, worst = _dominance_run("int", dist, trials=100)
+        assert reference_bound(dist, 50) == thm2_bound(cert.c, cert.lam, 50)
+        slope, worst = _dominance_run(dist, trials=100)
         note["detail"] = f"mean/bound <= {worst:.3f} at all n, slope {slope:.3f}"
 
 
@@ -132,8 +132,8 @@ def test_criterion_4_zipf_below_power_tail_ceiling(capsys):
         assert cert.kind == "power" and cert.lam == 2.0
         grid = np.unique(np.geomspace(1, 10**6, 60).astype(np.int64))
         assert validate_tail(dist, cert.c, cert.lam, "power", grid)
-        assert reference_bound("int", dist, 50) == thm1_bound(cert.c, cert.lam, 50)
-        slope, worst = _dominance_run("int", dist, trials=100)
+        assert reference_bound(dist, 50) == thm1_bound(cert.c, cert.lam, 50)
+        slope, worst = _dominance_run(dist, trials=100)
         note["detail"] = f"certificate holds, mean/bound <= {worst:.3f}, slope {slope:.3f}"
 
 
@@ -229,7 +229,7 @@ def test_criterion_7_decoded_output_is_distributionally_exact(capsys):
         for scheme, dist in pairs:
             passed = 0
             for t in range(100):
-                passed += verify_trial(scheme, dist, 10**4, root.child(scheme, dist.name, t),
+                passed += verify_trial(dist, 10**4, root.child(scheme, dist.name, t),
                                        alpha=0.01)[2]
             assert passed >= 90, f"{scheme}/{dist.name}: only {passed}/100 seeds passed"
             rates.append(f"{scheme}/{dist.name} {passed}/100")
@@ -240,8 +240,8 @@ def test_criterion_8_halfline_lengths_below_ceiling_with_majorization(capsys):
     with criterion(capsys, 8) as note:
         dist = pareto_flat(2.0, 2.0)
         cert = dist.tail_params
-        assert reference_bound("halfline", dist, 50) == thm4_bound(cert.c, cert.lam, dist.f0, 50)
-        slope, worst = _dominance_run("halfline", dist, trials=50)
+        assert reference_bound(dist, 50) == thm4_bound(cert.c, cert.lam, dist.f0, 50)
+        slope, worst = _dominance_run(dist, trials=50)
         grid = np.geomspace(1e-3, 1e3, 40)
         for f in (exponential(1.0), dist):
             majorant = pareto_flat(f.tail_params.c, f.tail_params.lam)
@@ -256,10 +256,10 @@ def test_criterion_9_cli_outputs_are_byte_identical(tmp_path, capsys):
             blob = tmp_path / f"{tag}.dsim"
             csv = tmp_path / f"{tag}.csv"
             bench = tmp_path / f"{tag}_bench.csv"
-            assert cli_main(["encode", "--scheme", "halfline", "--dist", "exp:lambda=1",
+            assert cli_main(["encode", "--dist", "exp:lambda=1",
                              "-n", "500", "--seed", "99", "-o", str(blob)]) == 0
             assert cli_main(["decode", str(blob), "--seed", "100", "-o", str(csv)]) == 0
-            assert cli_main(["bench", "--scheme", "unit", "--dist", "triangular",
+            assert cli_main(["bench", "--dist", "triangular",
                              "--n-list", "100,400", "--trials", "5", "--seed", "101",
                              "-o", str(bench)]) == 0
             blobs.append(blob.read_bytes())

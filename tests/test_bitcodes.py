@@ -248,10 +248,11 @@ class TestContainer:
     def test_nonzero_padding_rejected(self):
         sink = BitSink()
         sink.write_bits(0b1, 1)
-        data = bytearray(write_container(SCHEME_INTEGER, 1, sink))
-        data[-1] |= 0x01  # flip a padding bit
-        with pytest.raises(FormatError, match="padding"):
-            read_container(bytes(data))
+        for bit in (0x01, 0x40):  # the lowest and the highest of 7 padding bits
+            data = bytearray(write_container(SCHEME_INTEGER, 1, sink))
+            data[-1] |= bit
+            with pytest.raises(FormatError, match="padding"):
+                read_container(bytes(data))
 
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):

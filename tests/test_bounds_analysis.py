@@ -27,9 +27,8 @@ from dsim.bounds_analysis import (
     verify_trial,
 )
 from dsim.bitcodes import gamma_length, read_container, shifted_gamma_length
-from dsim.distributions import exponential, geometric, pareto_flat, triangular, zipf
+from dsim.distributions import MonotonePdf, exponential, geometric, pareto_flat, triangular, zipf
 from dsim.dyadic_codec import decode_triples, rect_area, simulate as unit_simulate
-from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
 
 
@@ -125,8 +124,9 @@ class TestEnumerator:
         assert exact_expected_length_unit(f, 1, k_max=k_max) == pytest.approx(expected, rel=1e-12)
 
     def test_area_rounded_past_one(self):
-        # a nearly flat law's depth-0 area rounds above 1; it counts as certain
-        f = restrict_to_bin(exponential(1e-9), 1)
+        # a flat law's depth-0 area rounds above 1; it counts as certain
+        f = MonotonePdf("flat", "unit", lambda x: np.where((x >= 0.0) & (x <= 1.0), 1.0 + 2.0**-52, 0.0),
+                        lambda x: np.clip(x, 0.0, 1.0), lambda u: u, f0=1.0 + 2.0**-52)
         assert rect_area(0, 0, f) > 1.0
         assert exact_expected_length_unit(f, 100) == pytest.approx(15.0, rel=1e-6)
 
@@ -167,8 +167,8 @@ class TestTruncatedPayload:
 
 class TestEmpirical:
     def test_reproducible_and_consistent(self):
-        a = empirical_length("int", geometric(0.7), 200, 8, seed=123)
-        b = empirical_length("int", geometric(0.7), 200, 8, seed=123)
+        a = empirical_length(geometric(0.7), 200, 8, seed=123)
+        b = empirical_length(geometric(0.7), 200, 8, seed=123)
         assert a == b
         assert a.trials == 8 and a.n == 200 and a.scheme == "int"
         arr = np.array(a.lengths, dtype=float)
@@ -176,47 +176,39 @@ class TestEmpirical:
         assert a.stderr == pytest.approx(arr.std(ddof=1) / math.sqrt(8))
 
     def test_lengths_are_true_payload_sizes(self):
-        res = empirical_length("int", geometric(0.7), 50, 3, seed=7)
+        res = empirical_length(geometric(0.7), 50, 3, seed=7)
         root = RandomSource.from_seed(7)
-        data = simulate_any("int", geometric(0.7), 50, root.child("trial", 1))
+        data = simulate_any(geometric(0.7), 50, root.child("trial", 1))
         assert res.lengths[1] == read_container(data)[0].payload_bits
 
     def test_dispatch_type_errors(self):
         rng = RandomSource.from_seed(1)
         with pytest.raises(ValueError):
-            simulate_any("int", triangular(), 5, rng)
+            simulate_any("mystery", 5, rng)
         with pytest.raises(ValueError):
-            simulate_any("unit", exponential(1.0), 5, rng)
-        with pytest.raises(ValueError):
-            simulate_any("halfline", geometric(0.5), 5, rng)
-        with pytest.raises(ValueError):
-            simulate_any("mystery", geometric(0.5), 5, rng)
-        with pytest.raises(ValueError):
-            desimulate_any("mystery", b"", rng)
+            desimulate_any(b"", rng)
 
 
 class TestReferenceBound:
     def test_certificate_routing(self):
         n = 1000
         geo = geometric(0.7)
-        assert reference_bound("int", geo, n) == pytest.approx(
+        assert reference_bound(geo, n) == pytest.approx(
             thm2_bound(geo.tail_params.c, geo.tail_params.lam, n))
         zf = zipf(3.0)
-        assert reference_bound("int", zf, n) == pytest.approx(
+        assert reference_bound(zf, n) == pytest.approx(
             thm1_bound(zf.tail_params.c, zf.tail_params.lam, n))
         tri = triangular()
-        assert reference_bound("unit", tri, n) == pytest.approx(thm3_bound(tri.f0, n))
+        assert reference_bound(tri, n) == pytest.approx(thm3_bound(tri.f0, n))
         pf = pareto_flat(2.0, 2.0)
-        assert reference_bound("halfline", pf, n) == pytest.approx(
+        assert reference_bound(pf, n) == pytest.approx(
             thm4_bound(2.0, 2.0, pf.f0, n))
 
     def test_missing_certificate_gives_none(self):
         from dsim.distributions import IntegerDistribution
 
         bare = IntegerDistribution("bare", lambda x: x, lambda x: x, lambda r, s: np.ones(s))
-        assert reference_bound("int", bare, 10) is None
-        with pytest.raises(ValueError):
-            reference_bound("mystery", bare, 10)
+        assert reference_bound(bare, 10) is None
 
 
 class TestStatisticalTests:
@@ -277,7 +269,8 @@ class TestVerifyTrial:
         ],
     )
     def test_round_trip_accepts(self, scheme, dist, expected_test):
-        name, stat, ok = verify_trial(scheme, dist, 4000, RandomSource.from_seed(2))
+        assert dist.support == scheme
+        name, stat, ok = verify_trial(dist, 4000, RandomSource.from_seed(2))
         assert name == expected_test
         assert ok, f"{name}={stat:.4f}"
 

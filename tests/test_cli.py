@@ -23,7 +23,7 @@ def run(argv, capsys):
 class TestEncodeDecode:
     def test_round_trip(self, tmp_path, capsys):
         blob = tmp_path / "g.dsim"
-        code, out, err = run(["encode", "--scheme", "int", "--dist", "geometric:p=0.7",
+        code, out, err = run(["encode", "--dist", "geometric:p=0.7",
                               "-n", "500", "--seed", "42", "-o", str(blob)], capsys)
         assert code == 0 and err == ""
         assert "n=500" in out and "payload_bits=" in out
@@ -44,7 +44,7 @@ class TestEncodeDecode:
         for tag in ("a", "b"):
             blob = tmp_path / f"{tag}.dsim"
             csv = tmp_path / f"{tag}.csv"
-            run(["encode", "--scheme", "halfline", "--dist", "exp:lambda=1",
+            run(["encode", "--dist", "exp:lambda=1",
                  "-n", "300", "--seed", "11", "-o", str(blob)], capsys)
             run(["decode", str(blob), "--seed", "12", "-o", str(csv)], capsys)
             outputs.append((blob.read_bytes(), csv.read_bytes()))
@@ -52,7 +52,7 @@ class TestEncodeDecode:
 
     def test_decode_real_values_use_full_precision(self, tmp_path, capsys):
         blob = tmp_path / "u.dsim"
-        run(["encode", "--scheme", "unit", "--dist", "triangular",
+        run(["encode", "--dist", "triangular",
              "-n", "50", "--seed", "3", "-o", str(blob)], capsys)
         code, out, _ = run(["decode", str(blob), "--seed", "4"], capsys)
         assert code == 0
@@ -73,21 +73,21 @@ class TestEncodeDecode:
 
     def test_decode_truncated_payload(self, tmp_path, capsys):
         blob = tmp_path / "t.dsim"
-        run(["encode", "--scheme", "int", "--dist", "zipf:s=3",
+        run(["encode", "--dist", "zipf:s=3",
              "-n", "100", "--seed", "5", "-o", str(blob)], capsys)
         blob.write_bytes(blob.read_bytes()[:25])
         code, _, err = run(["decode", str(blob), "--seed", "1"], capsys)
         assert code == 1 and err.startswith("error: container:")
 
     def test_bad_dist_spec(self, tmp_path, capsys):
-        code, _, err = run(["encode", "--scheme", "int", "--dist", "nosuch:p=1",
+        code, _, err = run(["encode", "--dist", "nosuch:p=1",
                             "-n", "5", "--seed", "1", "-o", str(tmp_path / "x")], capsys)
         assert code == 1 and err.startswith("error:")
 
 
 class TestBench:
     def test_csv_shape_and_slope_row(self, capsys):
-        code, out, err = run(["bench", "--scheme", "int", "--dist", "geometric:p=0.7",
+        code, out, err = run(["bench", "--dist", "geometric:p=0.7",
                               "--n-list", "100,1000", "--trials", "5", "--seed", "9"], capsys)
         assert code == 0 and err == ""
         lines = out.splitlines()
@@ -101,7 +101,7 @@ class TestBench:
         assert 0.0 < float(slope_row[4]) < 1.0
 
     def test_deterministic(self, capsys):
-        argv = ["bench", "--scheme", "unit", "--dist", "triangular",
+        argv = ["bench", "--dist", "triangular",
                 "--n-list", "50,200", "--trials", "4", "--seed", "2"]
         first = run(argv, capsys)
         second = run(argv, capsys)
@@ -140,7 +140,7 @@ class TestExactLength:
 
 class TestVerify:
     def test_passing_run(self, capsys):
-        code, out, _ = run(["verify", "--scheme", "int", "--dist", "geometric:p=0.7",
+        code, out, _ = run(["verify", "--dist", "geometric:p=0.7",
                             "-n", "2000", "--trials", "5", "--seed", "1"], capsys)
         assert code == 0
         lines = out.splitlines()
@@ -153,12 +153,12 @@ class TestVerify:
 
         original = bounds_analysis.verify_trial
 
-        def always_fail(scheme, dist, n, rng, alpha=0.01):
-            name, stat, _ = original(scheme, dist, n, rng, alpha)
+        def always_fail(dist, n, rng, alpha=0.01):
+            name, stat, _ = original(dist, n, rng, alpha)
             return name, stat, False
 
         monkeypatch.setattr(bounds_analysis, "verify_trial", always_fail)
-        code, out, _ = run(["verify", "--scheme", "int", "--dist", "geometric:p=0.7",
+        code, out, _ = run(["verify", "--dist", "geometric:p=0.7",
                             "-n", "100", "--trials", "3", "--seed", "1"], capsys)
         assert code == 1 and "passed 0/3" in out
 
@@ -167,7 +167,7 @@ class TestConsoleScript:
     def test_module_entry_point(self, tmp_path):
         blob = tmp_path / "cli.dsim"
         proc = subprocess.run(
-            [sys.executable, "-m", "dsim.cli", "encode", "--scheme", "int",
+            [sys.executable, "-m", "dsim.cli", "encode",
              "--dist", "geometric:p=0.5", "-n", "20", "--seed", "8", "-o", str(blob)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -47,6 +47,14 @@ class TestRestriction:
         assert f40.params["mass"] == pytest.approx(math.exp(-39) * -math.expm1(-1.0), rel=1e-12)
         assert f40.pdf(0.0) == pytest.approx(1.5819767068693265, rel=1e-9)
 
+    @pytest.mark.parametrize("lam", [1e-9, 1e-12])
+    def test_nearly_flat_first_bin_stays_accurate(self, lam):
+        # a survival difference 1 - tail(1) would cancel; cdf values keep their precision
+        f1 = restrict_to_bin(exponential(lam), 1)
+        assert f1.params["mass"] == pytest.approx(-math.expm1(-lam), rel=1e-15)
+        assert quad(f1.pdf, 0.0, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert f1.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
+
     def test_cdf_endpoints_and_inverse(self):
         fi = restrict_to_bin(pareto_flat(2.0, 2.0), 3)
         assert fi.cdf(0.0) == 0.0
