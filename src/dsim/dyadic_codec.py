@@ -11,7 +11,8 @@ hypograph projects to an f-distributed x, and conditioned on its rectangle
 the x-coordinate is uniform on that rectangle's x-interval.
 
 The codeword lists the occupied rectangles in lexicographic (k, a) order,
-each as shifted-gamma(k), shifted-gamma(a), gamma(count); write_triples is
+which is the order of their heap nodes 2**(k-1) + a (node 0 for k = 0), each
+as shifted-gamma(k), shifted-gamma(a), gamma(count); write_triples is
 the one writer of that layout, for this scheme and the half-line scheme.
 No rectangle lies deeper than MAX_DEPTH, the one depth limit: the encoder
 searches every depth up to it before it resamples a point, the locator
@@ -61,7 +62,11 @@ class DepthExceededError(RuntimeError):
 
 
 def _offset_in_range(k: int, a: int) -> bool:
-    return 0 <= k <= MAX_DEPTH and 0 <= a <= ((1 << (k - 1)) - 1 if k else 0)
+    # R(k, a)'s x-interval holds a double exactly when a is one (as every int
+    # below 2**53 is): otherwise the next double above a * 2**(1-k) is at
+    # least (a + 1) * 2**(1-k)
+    return (0 <= k <= MAX_DEPTH and 0 <= a <= ((1 << (k - 1)) - 1 if k else 0)
+            and (a < 1 << 53 or float(a) == a))
 
 
 def _check_index(k: int, a: int) -> None:
@@ -119,39 +124,37 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = MAX_DEPTH):
     """Vectorized locate.  Returns (ks, offsets, unresolved_mask).
 
     Points that no rectangle up to k_max catches are flagged in the mask
-    rather than raising, so callers can resample just those.
+    rather than raising, so callers can resample just those.  Each depth
+    visits only the points still unplaced: m = floor(x * 2**k) is exact for
+    x in [0, 1) and k <= MAX_DEPTH, its low bit is clear exactly when x lies
+    in the left half of a depth-k cell, and m >> 1 is that cell's offset.
     """
     if k_max > MAX_DEPTH:
         raise ValueError(f"offsets are tracked in int64, so k_max must be <= {MAX_DEPTH}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    n = xs.size
-    ks = np.full(n, -1, dtype=np.int64)
-    offs = np.zeros(n, dtype=np.int64)
+    ks = np.full(xs.size, -1, dtype=np.int64)
+    offs = np.zeros(xs.size, dtype=np.int64)
     hit0 = (ys >= f.pdf(2.0)) & (ys < f.pdf(1.0))
     ks[hit0] = 0
-    active = ~hit0
-    t = xs.copy()
-    a = np.zeros(n, dtype=np.int64)
+    idx = np.flatnonzero(~hit0)
     for k in range(1, k_max + 1):
-        if k > 1:
-            t *= 2.0
-            wrap = t >= 1.0
-            t[wrap] -= 1.0
-            a <<= 1
-            a[wrap] |= 1
-        cand = np.flatnonzero(active & (t < 0.5))
-        if cand.size:
-            scale = 2.0 ** -k
-            y_lo = f.pdf((a[cand] + 1) * (2.0 * scale))
-            y_hi = f.pdf((2 * a[cand] + 1) * scale)
-            hit = cand[(ys[cand] >= y_lo) & (ys[cand] < y_hi)]
-            ks[hit] = k
-            offs[hit] = a[hit]
-            active[hit] = False
-        if not active.any():
+        if not idx.size:
             break
-    return ks, offs, active
+        m = np.ldexp(xs[idx], k).astype(np.int64)
+        left = (m & 1) == 0
+        a = m[left] >> 1
+        scale = 2.0 ** -k
+        y = ys[idx[left]]
+        hit = (y >= f.pdf((a + 1) * (2.0 * scale))) & (y < f.pdf((2 * a + 1) * scale))
+        left[left] = hit  # now marks the points placed at depth k
+        placed = idx[left]
+        ks[placed] = k
+        offs[placed] = a[hit]
+        idx = idx[~left]
+    unresolved = np.zeros(xs.size, dtype=bool)
+    unresolved[idx] = True
+    return ks, offs, unresolved
 
 
 def _hypograph_draw(f, gen, size: int):
@@ -180,9 +183,24 @@ def collect_triples(xs, ys, f, retry_rng: RandomSource) -> list[tuple[int, int, 
         ks[idx] = rks
         offs[idx] = roffs
         bad[idx] = rbad
-    pairs = np.stack([ks, offs], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    return [(int(k), int(a), int(c)) for (k, a), c in zip(uniq, counts)]
+    return _count_rectangles(ks, offs)
+
+
+def _count_rectangles(ks: np.ndarray, offs: np.ndarray) -> list[tuple[int, int, int]]:
+    """(k, a, count) of each distinct rectangle, in (k, a) order.
+
+    R(k, a) is heap node 2**(k-1) + a (node 0 for k = 0).  Depth k fills the
+    nodes [2**(k-1), 2**k), so node order is (k, a) order, and a node's bit
+    length is its depth.
+    """
+    nodes = np.left_shift(1, ks - 1, out=np.zeros_like(ks), where=ks > 0)
+    nodes += offs
+    uniq, counts = np.unique(nodes, return_counts=True)
+    out = []
+    for node, count in zip(uniq.tolist(), counts.tolist()):
+        k = node.bit_length()
+        out.append((k, node - (1 << k >> 1), count))
+    return out
 
 
 def write_triples(triples, sink: BitSink) -> None:

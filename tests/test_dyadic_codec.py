@@ -1,5 +1,7 @@
 """Dyadic rectangle decomposition, locate, and the unit-interval scheme."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from dsim.distributions import exponential, triangular
 from dsim.dyadic_codec import (
     MAX_DEPTH,
     DepthExceededError,
+    _count_rectangles,
     collect_triples,
     decode_triples,
     desimulate,
@@ -36,6 +39,12 @@ from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
 
 TRI = triangular()
+# A steep law puts about 3% of its hypograph points beyond depth MAX_DEPTH, so
+# every stream of a few thousand draws goes through the resampling path.
+STEEP_HALFLINE = exponential(2.0**58)
+STEEP_UNIT = restrict_to_bin(STEEP_HALFLINE, 1)
+# Rate 6 on [0, 1): the density stays above f(1) ~ 0.015, the height of R(0, 0).
+TRUNCATED_EXP = restrict_to_bin(exponential(6.0), 1)
 
 
 def depth_area_sum(f, k: int) -> float:
@@ -98,6 +107,18 @@ class TestRectangles:
         rect_bounds(3, 3, TRI)  # largest admissible offset at depth 3
 
 
+def assert_batch_matches_scalar(xs, ys, f, k_max=MAX_DEPTH):
+    """Check locate_batch against scalar locate point by point."""
+    ks, offs, bad = locate_batch(xs, ys, f, k_max)
+    for x, y, k, a, unresolved in zip(xs.tolist(), ys.tolist(), ks.tolist(), offs.tolist(), bad.tolist()):
+        if unresolved:
+            with pytest.raises(DepthExceededError):
+                locate(x, y, f, k_max)
+        else:
+            assert locate(x, y, f, k_max) == (k, a)
+    return ks, bad
+
+
 class TestLocate:
     def test_known_points(self):
         assert locate(0.3, 0.7, TRI) == (1, 0)
@@ -120,13 +141,7 @@ class TestLocate:
         rng = RandomSource.from_seed(56)
         xs = TRI.cdf_inverse(rng.gen.random(500))
         ys = rng.gen.random(500) * TRI.pdf(xs)
-        ks, offs, bad = locate_batch(xs, ys, TRI, 20)
-        for i in range(500):
-            if bad[i]:
-                with pytest.raises(DepthExceededError):
-                    locate(float(xs[i]), float(ys[i]), TRI, 20)
-            else:
-                assert locate(float(xs[i]), float(ys[i]), TRI, 20) == (ks[i], offs[i])
+        assert_batch_matches_scalar(xs, ys, TRI, 20)
 
     def test_depth_budget(self):
         # x just above 1/2 needs depth 2, so a budget of 1 must fail
@@ -143,9 +158,64 @@ class TestLocate:
         with pytest.raises(ValueError):
             locate(0.5, -0.2, TRI)
 
+    def test_batch_matches_scalar_deep(self):
+        # the steep law's draws sit at depths ~57 to 62, and some lie past 62
+        rng = RandomSource.from_seed(58)
+        xs = STEEP_UNIT.cdf_inverse(rng.gen.random(600))
+        ys = rng.gen.random(600) * STEEP_UNIT.pdf(xs)
+        ks, bad = assert_batch_matches_scalar(xs, ys, STEEP_UNIT)
+        assert ks[~bad].min() >= 30 and ks.max() == MAX_DEPTH and bad.any()
+
+    def test_batch_matches_scalar_depth_zero(self):
+        # f(1) is about 0.015, so some draws fall in R(0, 0) under the floor
+        rng = RandomSource.from_seed(59)
+        xs = TRUNCATED_EXP.cdf_inverse(rng.gen.random(3000))
+        ys = rng.gen.random(3000) * TRUNCATED_EXP.pdf(xs)
+        ks, bad = assert_batch_matches_scalar(xs, ys, TRUNCATED_EXP)
+        assert (ks == 0).any() and not bad.any()
+
+    @pytest.mark.parametrize("f", [TRI, TRUNCATED_EXP], ids=["triangular", "truncated-exp"])
+    def test_batch_matches_scalar_at_edge_points(self, f):
+        xs = np.repeat([0.0, 0.5, 1.0 - 2.0**-53, 2.0**-62], 4)
+        tops = f.pdf(xs)
+        ys = tops * np.tile([0.0, 0.25, 0.5, 1.0], 4)
+        ys[3::4] = np.nextafter(tops[3::4], 0.0)
+        assert_batch_matches_scalar(xs, ys, f)
+
     def test_batch_kmax_cap(self):
         with pytest.raises(ValueError):
             locate_batch(np.array([0.3]), np.array([0.1]), TRI, 63)
+
+
+def single_triple(k: int, a: int, count: int) -> BitSink:
+    sink = BitSink()
+    shifted_gamma_encode(k, sink)
+    shifted_gamma_encode(a, sink)
+    gamma_encode(count, sink)
+    return sink
+
+
+class TestHeapNodes:
+    EDGES = [(0, 0), (1, 0), (62, 0), (62, 2**61 - 2**8)]
+
+    def test_node_to_rectangle_inverts(self):
+        gen = RandomSource.from_seed(80).gen
+        ks = gen.integers(1, MAX_DEPTH + 1, 2000)
+        offs = gen.integers(0, np.left_shift(1, ks - 1))
+        pairs = sorted(set(zip(ks.tolist(), offs.tolist())) | set(self.EDGES))
+        ks, offs = (np.array(col[::-1], dtype=np.int64) for col in zip(*pairs))
+        assert _count_rectangles(ks, offs) == [(k, a, 1) for k, a in pairs]
+
+    def test_grouping_matches_lexicographic_unique(self):
+        gen = RandomSource.from_seed(81).gen
+        ks = np.concatenate([gen.integers(0, 6, 5000), gen.integers(0, MAX_DEPTH + 1, 500)])
+        offs = gen.integers(0, np.left_shift(1, np.maximum(ks - 1, 0)))
+        offs[ks == 0] = 0
+        edges = np.array(self.EDGES * 3, dtype=np.int64)
+        ks, offs = np.concatenate([ks, edges[:, 0]]), np.concatenate([offs, edges[:, 1]])
+        uniq, counts = np.unique(np.stack([ks, offs], axis=1), axis=0, return_counts=True)
+        expected = [(int(k), int(a), int(c)) for (k, a), c in zip(uniq, counts)]
+        assert _count_rectangles(ks, offs) == expected
 
 
 class TestTripleCodec:
@@ -210,6 +280,22 @@ class TestTripleCodec:
             else:
                 with pytest.raises(FormatError):
                     decode_triples(src, 1)
+
+    @pytest.mark.parametrize("k, a", [(62, 2**61 - 1), (55, 2**54 - 1)])
+    def test_offset_holding_no_double_rejected(self, k, a):
+        # float(a) rounds up to 2**(k-1), so a decoder would emit 1.0
+        data = write_container(SCHEME_UNIT, 3, single_triple(k, a, 3))
+        with pytest.raises(FormatError):
+            desimulate(data, RandomSource.from_seed(1))
+        with pytest.raises(ValueError):
+            points_from_triples([(k, a, 3)], RandomSource.from_seed(1).gen)
+
+    @pytest.mark.parametrize("k, a", [(62, 2**61 - 2**8), (55, 2**54 - 2)])
+    def test_deepest_offsets_holding_a_double_decode(self, k, a):
+        data = write_container(SCHEME_UNIT, 3, single_triple(k, a, 3))
+        pts = desimulate(data, RandomSource.from_seed(1))
+        # exact rational bounds: (2a + 1) * 2**-k need not be a double
+        assert all(Fraction(a, 2 ** (k - 1)) <= Fraction(p) < Fraction(2 * a + 1, 2**k) for p in pts.tolist())
 
     def test_decode_needs_positive_n(self):
         with pytest.raises(ValueError):
@@ -276,12 +362,6 @@ class TestScheme:
         data = simulate(TRI, n, RandomSource.from_seed(seed))
         out = desimulate(data, RandomSource.from_seed(seed + 1))
         assert out.size == n
-
-
-# A steep law puts about 3% of its hypograph points beyond depth MAX_DEPTH, so
-# every stream of a few thousand draws goes through the resampling path.
-STEEP_HALFLINE = exponential(2.0**58)
-STEEP_UNIT = restrict_to_bin(STEEP_HALFLINE, 1)
 
 
 class TestResampling:

@@ -153,6 +153,16 @@ class TestScheme:
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
+    def test_rejects_offset_holding_no_double(self):
+        # R(62, 2**61 - 1) would decode to 4.0, outside bin [3, 4)
+        sink = encode_multiset([4, 4, 4])
+        shifted_gamma_encode(62, sink)
+        shifted_gamma_encode(2**61 - 1, sink)
+        gamma_encode(3, sink)
+        data = write_container(SCHEME_HALFLINE, 3, sink)
+        with pytest.raises(FormatError):
+            desimulate(data, RandomSource.from_seed(1))
+
     def test_output_law_single_seed(self):
         from dsim.bounds_analysis import ks_two_sample
 
