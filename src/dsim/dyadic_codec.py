@@ -120,7 +120,7 @@ def locate(x: float, y: float, f, k_max: int = MAX_DEPTH) -> tuple[int, int]:
     raise DepthExceededError(f"no rectangle up to depth {k_max} contains the point")
 
 
-def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = MAX_DEPTH):
+def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = MAX_DEPTH, *, density=None):
     """Vectorized locate.  Returns (ks, offsets, unresolved_mask).
 
     Points that no rectangle up to k_max catches are flagged in the mask
@@ -128,14 +128,23 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = MAX_DEPTH):
     visits only the points still unplaced: m = floor(x * 2**k) is exact for
     x in [0, 1) and k <= MAX_DEPTH, its low bit is clear exactly when x lies
     in the left half of a depth-k cell, and m >> 1 is that cell's offset.
+
+    density(x, points), when given, replaces f.pdf(x): it is the density at
+    x of each point that the index array or slice ``points`` selects, so one
+    call locates points lying under different densities, such as the
+    half-line scheme's bins.
     """
     if k_max > MAX_DEPTH:
         raise ValueError(f"offsets are tracked in int64, so k_max must be <= {MAX_DEPTH}")
+    if density is None:
+        def density(x, points):
+            return f.pdf(x)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ks = np.full(xs.size, -1, dtype=np.int64)
     offs = np.zeros(xs.size, dtype=np.int64)
-    hit0 = (ys >= f.pdf(2.0)) & (ys < f.pdf(1.0))
+    every = slice(None)
+    hit0 = (ys >= density(2.0, every)) & (ys < density(1.0, every))
     ks[hit0] = 0
     idx = np.flatnonzero(~hit0)
     for k in range(1, k_max + 1):
@@ -145,10 +154,11 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = MAX_DEPTH):
         left = (m & 1) == 0
         a = m[left] >> 1
         scale = 2.0 ** -k
-        y = ys[idx[left]]
-        hit = (y >= f.pdf((a + 1) * (2.0 * scale))) & (y < f.pdf((2 * a + 1) * scale))
+        points = idx[left]
+        y = ys[points]
+        hit = (y >= density((a + 1) * (2.0 * scale), points)) & (y < density((2 * a + 1) * scale, points))
+        placed = points[hit]
         left[left] = hit  # now marks the points placed at depth k
-        placed = idx[left]
         ks[placed] = k
         offs[placed] = a[hit]
         idx = idx[~left]

@@ -8,8 +8,16 @@ fractional parts of the encoder's own draws already have the restricted law
 conditioned on the bin, so they are reused as hypograph x-coordinates and
 only the heights are drawn fresh.
 
+The encoder works on all bins in one pass: it sorts the draws by bin, draws
+every height at once and locates every point with one locator call, each
+point measured against its own bin's restriction (restrict_to_bin).  Only a
+bin holding a point that no rectangle up to the depth limit catches goes
+through the per-bin resampling path.  The bytes are those of one stream per
+bin in turn.
+
 The decoder never evaluates the density: bin counts come from the integer
-payload and within-bin positions from the rectangle indices alone.
+payload and within-bin positions from the rectangle indices alone.  It reads
+each bin's triples in turn and expands all of them with one draw.
 """
 
 from __future__ import annotations
@@ -24,7 +32,9 @@ from .bitcodes import (
     write_container,
 )
 from .distributions import MonotonePdf
+from . import dyadic_codec
 from .dyadic_codec import (
+    _count_rectangles,
     collect_triples,
     decode_triples,
     points_from_triples,
@@ -34,6 +44,25 @@ from .integer_codec import decode_multiset, encode_multiset
 from .rng import RandomSource
 
 __all__ = ["restrict_to_bin", "simulate", "desimulate"]
+
+
+def _mass_up_to(f: MonotonePdf, x, shift):
+    """P(shift <= X < x): cdf values while f.cdf(x) <= 1/2, survival values beyond."""
+    head = f.cdf(x)
+    return np.where(head <= 0.5, head - f.cdf(shift), f.tail(shift) - f.tail(x))
+
+
+def _bin_pdf(f: MonotonePdf, x, shift, mass, b=()):
+    """restrict_to_bin(f, i).pdf(x) for the bins that index b picks from the
+    arrays shift (i - 1) and mass.  The picks happen inside the expression,
+    so no copy of them outlives its one operation."""
+    return np.where((x >= 0.0) & (x <= 1.0), f.pdf(x + shift[b]) / mass[b], 0.0)
+
+
+def _bin_runs(sorted_bins: np.ndarray):
+    """The distinct values of a sorted array and the edges [0, ..., size] of their runs."""
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(sorted_bins)) + 1, [sorted_bins.size]))
+    return sorted_bins[edges[:-1]], edges
 
 
 def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
@@ -48,21 +77,16 @@ def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
     if i < 1:
         raise ValueError("bin index must be >= 1")
     shift = float(i - 1)
-
-    def mass_up_to(x):
-        head = f.cdf(x)
-        return np.where(head <= 0.5, head - f.cdf(shift), f.tail(shift) - f.tail(x))
-
-    mass = float(mass_up_to(float(i)))
+    mass = float(_mass_up_to(f, float(i), shift))
     if not mass > 0.0:
         raise ValueError(f"bin {i} carries no probability mass")
 
     def pdf(x):
-        return np.where((x >= 0.0) & (x <= 1.0), f.pdf(x + shift) / mass, 0.0)
+        return _bin_pdf(f, x, np.float64(shift), np.float64(mass))
 
     def cdf(x):
         xc = np.clip(x, 0.0, 1.0)
-        return np.clip(mass_up_to(xc + shift) / mass, 0.0, 1.0)
+        return np.clip(_mass_up_to(f, xc + shift, shift) / mass, 0.0, 1.0)
 
     def cdf_inverse(u):
         # Bisect cdf over the int64 bit patterns of [0, 1), which sort like the
@@ -95,15 +119,42 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     values = f.sample(rng.child("values"), n)
     bins = np.floor(values).astype(np.int64) + 1
     encode_multiset(bins, sink)
-    heights = rng.child("heights").gen
-    retry = rng.child("retry")
-    # a stable sort keeps each bin's draws in draw order
-    order = np.argsort(bins, kind="stable")
-    uniq, starts = np.unique(bins[order], return_index=True)
-    for i, xs in zip(uniq.tolist(), np.split((values - (bins - 1))[order], starts[1:])):
-        restricted = restrict_to_bin(f, i)
-        ys = heights.random(xs.size) * restricted.pdf(xs)
-        write_triples(collect_triples(xs, ys, restricted, retry.child(i)), sink)
+    # a stable sort keeps each bin's draws in draw order; numpy radix-sorts
+    # 16-bit keys, about four times faster than int64 ones at n = 10**6
+    small = bins.max() <= 1 << 16
+    order = np.argsort((bins - 1).astype(np.uint16) if small else bins, kind="stable")
+    uniq, edges = _bin_runs(bins[order])
+    del bins
+    # per bin, the same shift and mass as restrict_to_bin; per point, its bin
+    shift = (uniq - 1).astype(float)
+    mass = _mass_up_to(f, uniq.astype(float), shift)
+    empty = ~(mass > 0.0)
+    if empty.any():
+        raise ValueError(f"bin {uniq[empty][0]} carries no probability mass")
+    which = np.repeat(np.arange(uniq.size, dtype=np.int32), np.diff(edges))
+
+    def density(x, points):
+        if np.ndim(x) == 0:  # a depth-0 corner: one value per bin
+            return _bin_pdf(f, x, shift, mass)[which[points]]
+        return _bin_pdf(f, x, shift, mass, which[points])
+
+    xs = values[order]  # each draw's position inside its bin
+    del values, order
+    xs -= shift[which]
+    # one draw of all the heights equals the per-bin draws in bin order
+    ys = rng.child("heights").gen.random(n)
+    ys *= density(xs, slice(None))
+    # called through the module, so a wrapper installed there sees the call
+    ks, offs, unresolved = dyadic_codec.locate_batch(xs, ys, f, density=density)
+    stuck = np.zeros(uniq.size, dtype=bool)
+    stuck[which[unresolved]] = True
+    retry = rng.child("retry") if stuck.any() else None
+    for j, (i, lo, hi) in enumerate(zip(uniq.tolist(), edges[:-1].tolist(), edges[1:].tolist())):
+        if stuck[j]:
+            triples = collect_triples(xs[lo:hi], ys[lo:hi], restrict_to_bin(f, i), retry.child(i))
+        else:
+            triples = _count_rectangles(ks[lo:hi], offs[lo:hi])
+        write_triples(triples, sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
 
@@ -114,15 +165,15 @@ def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
         raise FormatError(f"expected a half-line container, got scheme {header.scheme:#x}")
     if header.n == 0:
         return np.empty(0, dtype=float)
-    bins = decode_multiset(source, header.n)
-    uniq, counts = np.unique(bins, return_counts=True)
-    points = rng.child("points").gen
-    chunks = []
-    for i, count in zip(uniq, counts):
-        triples = decode_triples(source, int(count))
-        chunks.append(points_from_triples(triples, points) + (float(i) - 1.0))
+    uniq, edges = _bin_runs(decode_multiset(source, header.n))
+    counts = np.diff(edges)
+    triples = []
+    for count in counts.tolist():
+        triples += decode_triples(source, count)
     if source.bits_remaining:
         raise FormatError(f"{source.bits_remaining} unread payload bits after the last bin")
-    out = np.concatenate(chunks)
+    # one draw of all the uniforms equals the per-bin draws in bin order
+    out = points_from_triples(triples, rng.child("points").gen)
+    out += np.repeat(uniq.astype(float) - 1.0, counts)
     rng.child("order").gen.shuffle(out)
     return out

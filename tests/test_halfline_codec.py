@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dsim import dyadic_codec
 from dsim.bitcodes import (
     SCHEME_HALFLINE,
+    BitSink,
     FormatError,
     gamma_encode,
     read_container,
     shifted_gamma_encode,
     write_container,
 )
-from dsim.distributions import exponential, pareto_flat, triangular
+from dsim.distributions import MonotonePdf, exponential, pareto_flat, triangular
+from dsim.dyadic_codec import collect_triples, write_triples
 from dsim.halfline_codec import desimulate, restrict_to_bin, simulate
 from dsim.integer_codec import decode_multiset, encode_multiset
 from dsim.rng import RandomSource
@@ -163,6 +166,13 @@ class TestScheme:
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
+    def test_draw_in_a_massless_bin_rejected(self):
+        # past 2**54 both ends of a unit bin round to one double, so its mass is 0
+        far = MonotonePdf("far", "halfline", lambda x: np.where(x >= 0.0, 2.0**-60, 0.0),
+                          lambda x: np.clip(x * 2.0**-60, 0.0, 1.0), lambda u: u * 2.0**60, f0=2.0**-60)
+        with pytest.raises(ValueError, match="no probability mass"):
+            simulate(far, 50, RandomSource.from_seed(1))
+
     def test_output_law_single_seed(self):
         from dsim.bounds_analysis import ks_two_sample
 
@@ -172,3 +182,100 @@ class TestScheme:
         ref = EXP1.sample(RandomSource.from_seed(79), n)
         stat, ok = ks_two_sample(out, ref, alpha=0.01)
         assert ok, f"KS={stat:.4f}"
+
+
+def per_bin_reference(f, n, rng):
+    """The encoder as one unit stream per occupied bin, each in its own pass."""
+    sink = BitSink()
+    values = f.sample(rng.child("values"), n)
+    bins = np.floor(values).astype(np.int64) + 1
+    encode_multiset(bins, sink)
+    heights = rng.child("heights").gen
+    retry = rng.child("retry")
+    order = np.argsort(bins, kind="stable")
+    uniq, starts = np.unique(bins[order], return_index=True)
+    for i, xs in zip(uniq.tolist(), np.split((values - (bins - 1))[order], starts[1:])):
+        restricted = restrict_to_bin(f, i)
+        ys = heights.random(xs.size) * restricted.pdf(xs)
+        write_triples(collect_triples(xs, ys, restricted, retry.child(i)), sink)
+    return write_container(SCHEME_HALFLINE, n, sink)
+
+
+def restarting_power(alpha=1.0 / 16.0, bins=3):
+    """Mass 1/bins in each of bins 1 to bins, with density alpha t**(alpha-1) / bins
+    at t = x - (i - 1) in bin i: non-increasing within each bin and infinite at
+    its left end.  The draws of bins 2 and 3 that round onto the bin's left end
+    get an infinite height, which no rectangle holds, so those bins go through
+    the resampling path.  (A bin's right end is the next bin's infinite start,
+    so the depth-0 rectangle of bins 1 and 2 takes every finite point: the law
+    exercises the bytes, not the decoded law.)"""
+
+    def piece(x):
+        j = np.floor(np.clip(x, 0.0, bins))
+        return j, x - j
+
+    def pdf(x):
+        j, t = piece(x)
+        with np.errstate(divide="ignore"):
+            return np.where((x >= 0.0) & (x < bins), alpha * t ** (alpha - 1.0) / bins, 0.0)
+
+    def cdf(x):
+        j, t = piece(x)
+        return np.where(x < 0.0, 0.0, (j + t**alpha) / bins)
+
+    def tail(x):
+        j, t = piece(x)
+        return np.where(x < 0.0, 1.0, (bins - j - t**alpha) / bins)
+
+    def cdf_inverse(u):
+        j = np.floor(bins * u)
+        return j + (bins * u - j) ** (1.0 / alpha)
+
+    return MonotonePdf("restarting_power", "halfline", pdf, cdf, cdf_inverse, f0=np.inf, tail=tail)
+
+
+RESTART = restarting_power()
+
+
+class TestOnePassEncoder:
+    @pytest.mark.parametrize("f", [EXP1, exponential(0.01), exponential(2.0**58),
+                                   pareto_flat(2.0, 2.0), pareto_flat(1.5, 1.2)],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("n", [1, 7, 1000, 30000])
+    def test_matches_per_bin_reference(self, f, n):
+        for seed in (0, 1):
+            rng = RandomSource.from_seed(seed)
+            assert simulate(f, n, rng) == per_bin_reference(f, n, rng)
+
+    def test_matches_per_bin_reference_past_16_bit_bins(self):
+        # bins beyond 2**16 take the int64 sort rather than the 16-bit one
+        f = exponential(2.0**-20)
+        for seed in (0, 1):
+            rng = RandomSource.from_seed(seed)
+            values = f.sample(rng.child("values"), 1000)
+            assert values.max() > 2**16 and values.min() < 2**16
+            assert simulate(f, 1000, rng) == per_bin_reference(f, 1000, rng)
+
+    def test_resampling_bins_are_found(self):
+        # the reference's own draws leave unresolved points in two bins
+        rng = RandomSource.from_seed(3)
+        values = RESTART.sample(rng.child("values"), 1000)
+        bins = np.floor(values).astype(np.int64) + 1
+        heights = rng.child("heights").gen
+        stuck = []
+        for i in np.unique(bins).tolist():
+            restricted = restrict_to_bin(RESTART, i)
+            xs = values[bins == i] - (i - 1)
+            ys = heights.random(xs.size) * restricted.pdf(xs)
+            if dyadic_codec.locate_batch(xs, ys, restricted)[2].any():
+                stuck.append(i)
+        assert stuck == [2, 3]
+
+    @pytest.mark.parametrize("n", [1000, 30000])
+    def test_matches_per_bin_reference_when_bins_resample(self, n):
+        for seed in (3, 4):
+            rng = RandomSource.from_seed(seed)
+            data = simulate(RESTART, n, rng)
+            assert data == per_bin_reference(RESTART, n, rng)
+            out = desimulate(data, RandomSource.from_seed(seed + 10))
+            assert out.size == n and np.all((out >= 0.0) & (out < 3.0))

@@ -43,6 +43,27 @@ def test_container_and_samples_are_pinned(scheme, dist, seed, container_sha, sam
     assert hashlib.sha256(out.tobytes()).hexdigest() == samples_sha
 
 
+# one sha256 over the containers and decoded samples of every density law
+# below at several n and seeds: the unit scheme, the half-line scheme's head,
+# tail and nearly flat bins, and the exponential(2**58) law whose encoder
+# draws reach the resampling path.  Recorded like the pins above.
+SWEEP_LAWS = [triangular(), exponential(1.0), exponential(0.01), exponential(2.0**14),
+              exponential(2.0**58), pareto_flat(2.0, 2.0), pareto_flat(1.5, 1.2)]
+SWEEP_SHA = "f496b0d19df1c5725aa12249771fd7253083c83d2076dc1709d0dbd830399748"
+
+
+def test_density_sweep_is_pinned():
+    h = hashlib.sha256()
+    for dist in SWEEP_LAWS:
+        for n in (1, 7, 1000, 30000):
+            for seed in range(4):
+                root = RandomSource.from_seed(seed)
+                data = simulate_any(dist, n, root.child("encode"))
+                h.update(data)
+                h.update(desimulate_any(data, root.child("decode")).tobytes())
+    assert h.hexdigest() == SWEEP_SHA
+
+
 @pytest.mark.parametrize("codec, dist", [
     (dyadic_codec, geometric(0.5)),
     (dyadic_codec, exponential(1.0)),
