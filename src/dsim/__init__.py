@@ -6,57 +6,36 @@ non-increasing density on [0, 1] through occupied dyadic rectangles of the
 density's hypograph; 'halfline' composes the two for non-increasing
 densities on [0, inf).  Decoders regenerate n i.i.d. samples (exactly the
 encoded multiset, in fresh order, for 'int') from the bitstream alone.
-Companion analysis tools give closed-form expected-length ceilings that
-grow sublinearly in n, exact expected-length enumeration, and statistical
-verification of the decoded law.
+
+simulate_any and desimulate_any pick the codec from the law's support and
+the container's scheme byte; every other name lives in its module
+(bitcodes, distributions, integer_codec, dyadic_codec, halfline_codec,
+rng).  The analysis tools in bounds_analysis (closed-form expected-length
+ceilings, exact expected-length enumeration, statistical verification of
+the decoded law) need scipy.stats and scipy.integrate, so importing the
+package does not load them.
 """
 
-from .bounds_analysis import (
-    check_majorization,
-    chi_square,
-    desimulate_any,
-    empirical_length,
-    exact_expected_length_unit,
-    ks_two_sample,
-    loglog_slope,
-    paper_gamma_accounting,
-    reference_bound,
-    simulate_any,
-    thm1_bound,
-    thm2_bound,
-    thm3_bound,
-    thm4_bound,
-    verify_trial,
-)
-from .bitcodes import (
-    BitSink,
-    BitSource,
-    FormatError,
-    TruncatedStreamError,
-    gamma_decode,
-    gamma_encode,
-    gamma_length,
-    read_container,
-    shifted_gamma_decode,
-    shifted_gamma_encode,
-    write_container,
-)
-from .distributions import (
-    IntegerDistribution,
-    MonotonePdf,
-    TailParams,
-    builtin,
-    exponential,
-    geometric,
-    pareto_flat,
-    parse_spec,
-    triangular,
-    validate_tail,
-    zipf,
-)
-from .dyadic_codec import DepthExceededError, locate, rect_area, rect_bounds
-from .halfline_codec import restrict_to_bin
-from .integer_codec import decode_multiset, encode_multiset
+import numpy as np
+
+from . import dyadic_codec, halfline_codec, integer_codec
+from .bitcodes import SCHEME_NAMES, read_container
 from .rng import RandomSource
 
 __version__ = "0.1.0"
+
+_CODECS = {"int": integer_codec, "unit": dyadic_codec, "halfline": halfline_codec}
+
+
+def simulate_any(dist, n: int, rng: RandomSource) -> bytes:
+    """Encode with the codec of the law's support."""
+    support = getattr(dist, "support", None)
+    if support not in _CODECS:
+        raise ValueError(f"{dist!r} has no support among {', '.join(_CODECS)}")
+    data = _CODECS[support].simulate(dist, n, rng)
+    return data[0] if support == "int" else data
+
+
+def desimulate_any(data: bytes, rng: RandomSource) -> np.ndarray:
+    """Decode with the codec that the container's scheme byte names."""
+    return _CODECS[SCHEME_NAMES[read_container(data)[0].scheme]].desimulate(data, rng)

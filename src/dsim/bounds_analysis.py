@@ -18,8 +18,8 @@ from scipy.integrate import quad
 from scipy.stats import binom as _binom
 from scipy.stats import chi2 as _chi2
 
-from . import dyadic_codec, halfline_codec, integer_codec
-from .bitcodes import SCHEME_NAMES, SCHEME_UNIT, gamma_length, read_container, shifted_gamma_length
+from . import desimulate_any, dyadic_codec, simulate_any
+from .bitcodes import SCHEME_UNIT, gamma_length, read_container, shifted_gamma_length
 from .distributions import IntegerDistribution, MonotonePdf
 from .dyadic_codec import rect_area
 from .rng import RandomSource
@@ -33,8 +33,6 @@ __all__ = [
     "check_majorization",
     "exact_expected_length_unit",
     "EmpiricalLength",
-    "simulate_any",
-    "desimulate_any",
     "empirical_length",
     "reference_bound",
     "ks_two_sample",
@@ -179,23 +177,6 @@ class EmpiricalLength:
     mean: float
     stderr: float
     lengths: tuple[int, ...]
-
-
-_CODECS = {"int": integer_codec, "unit": dyadic_codec, "halfline": halfline_codec}
-
-
-def simulate_any(dist, n: int, rng: RandomSource) -> bytes:
-    """Encode with the codec of the law's support."""
-    support = getattr(dist, "support", None)
-    if support not in _CODECS:
-        raise ValueError(f"{dist!r} has no support among {', '.join(_CODECS)}")
-    data = _CODECS[support].simulate(dist, n, rng)
-    return data[0] if support == "int" else data
-
-
-def desimulate_any(data: bytes, rng: RandomSource) -> np.ndarray:
-    """Decode with the codec that the container's scheme byte names."""
-    return _CODECS[SCHEME_NAMES[read_container(data)[0].scheme]].desimulate(data, rng)
 
 
 def empirical_length(dist, n: int, trials: int, seed: int) -> EmpiricalLength:

@@ -15,18 +15,15 @@ import sys
 
 import numpy as np
 
-from . import bounds_analysis
+from . import desimulate_any, simulate_any
 from .bitcodes import FormatError, TruncatedStreamError, read_container
 from .distributions import parse_spec
 from .rng import RandomSource
 
-# theorem: (ceiling, the options it takes before n, in order)
-_THEOREMS = {
-    "1": (bounds_analysis.thm1_bound, ("c", "lam")),
-    "2": (bounds_analysis.thm2_bound, ("c", "lam")),
-    "3": (bounds_analysis.thm3_bound, ("f0",)),
-    "4": (bounds_analysis.thm4_bound, ("c", "lam", "f0")),
-}
+# theorem: the options its ceiling (bounds_analysis.thm<theorem>_bound)
+# takes before n, in order.  The analysis subcommands import bounds_analysis
+# when they run, so encode and decode never load scipy.stats.
+_THEOREMS = {"1": ("c", "lam"), "2": ("c", "lam"), "3": ("f0",), "4": ("c", "lam", "f0")}
 
 
 def _fmt(x: float) -> str:
@@ -53,7 +50,7 @@ def _int_list(spec: str) -> list[int]:
 
 def cmd_encode(args) -> int:
     dist = parse_spec(args.dist)
-    data = bounds_analysis.simulate_any(dist, args.n, RandomSource.from_seed(args.seed))
+    data = simulate_any(dist, args.n, RandomSource.from_seed(args.seed))
     with open(args.output, "wb") as fh:
         fh.write(data)
     header = read_container(data)[0]
@@ -74,7 +71,7 @@ def cmd_decode(args) -> int:
         print(f"error: container: {exc}", file=sys.stderr)
         return 1
     try:
-        values = bounds_analysis.desimulate_any(data, RandomSource.from_seed(args.seed))
+        values = desimulate_any(data, RandomSource.from_seed(args.seed))
     except (FormatError, TruncatedStreamError) as exc:
         print(f"error: payload: {exc}", file=sys.stderr)
         return 1
@@ -88,6 +85,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bounds_analysis
+
     dist = parse_spec(args.dist)
     rows = ["scheme,dist,n,trials,mean_bits,stderr_bits,bound_bits"]
     means = []
@@ -105,17 +104,22 @@ def cmd_bench(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    ceiling, fields = _THEOREMS[args.theorem]
+    from . import bounds_analysis
+
+    fields = _THEOREMS[args.theorem]
     for field in fields:
         if getattr(args, field) is None:
             flag = "--lambda" if field == "lam" else f"--{field}"
             print(f"error: theorem {args.theorem} needs {flag}", file=sys.stderr)
             return 2
+    ceiling = getattr(bounds_analysis, f"thm{args.theorem}_bound")
     print(_fmt(ceiling(*(getattr(args, field) for field in fields), args.n)))
     return 0
 
 
 def cmd_exact_length(args) -> int:
+    from . import bounds_analysis
+
     dist = parse_spec(args.dist)
     rows = ["dist,n,kmax,expected_bits"]
     for n in args.n_list:
@@ -126,6 +130,8 @@ def cmd_exact_length(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import bounds_analysis
+
     dist = parse_spec(args.dist)
     root = RandomSource.from_seed(args.seed)
     passed = 0

@@ -173,15 +173,15 @@ def _hypograph_draw(f, gen, size: int):
     return xs, ys
 
 
-def collect_triples(xs, ys, f, retry_rng: RandomSource) -> list[tuple[int, int, int]]:
-    """Sorted (k, a, count) triples covering the given hypograph points.
+def collect_triples(ks, offs, bad, f, retry_rng: RandomSource) -> list[tuple[int, int, int]]:
+    """Sorted (k, a, count) triples of located hypograph points.
 
-    Points that no rectangle up to MAX_DEPTH catches are replaced by fresh
-    hypograph draws from retry_rng, which leaves the encoded law unchanged.
+    ks, offs and bad are locate_batch's output for points of f's hypograph.
+    The points that bad flags are replaced, in place, by fresh hypograph
+    draws from retry_rng, which leaves the encoded law unchanged.
     DepthExceededError is raised if some are still uncaught after
     RETRY_BUDGET rounds.
     """
-    ks, offs, bad = locate_batch(xs, ys, f)
     rounds = 0
     while bad.any():
         rounds += 1
@@ -265,7 +265,7 @@ def simulate(f, n: int, rng: RandomSource) -> bytes:
     if n == 0:
         return write_container(SCHEME_UNIT, 0, sink)
     xs, ys = _hypograph_draw(f, rng.child("points").gen, n)
-    write_triples(collect_triples(xs, ys, f, rng.child("retry")), sink)
+    write_triples(collect_triples(*locate_batch(xs, ys, f), f, rng.child("retry")), sink)
     return write_container(SCHEME_UNIT, n, sink)
 
 

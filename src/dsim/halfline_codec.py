@@ -151,7 +151,8 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     retry = rng.child("retry") if stuck.any() else None
     for j, (i, lo, hi) in enumerate(zip(uniq.tolist(), edges[:-1].tolist(), edges[1:].tolist())):
         if stuck[j]:
-            triples = collect_triples(xs[lo:hi], ys[lo:hi], restrict_to_bin(f, i), retry.child(i))
+            triples = collect_triples(ks[lo:hi], offs[lo:hi], unresolved[lo:hi],
+                                      restrict_to_bin(f, i), retry.child(i))
         else:
             triples = _count_rectangles(ks[lo:hi], offs[lo:hi])
         write_triples(triples, sink)

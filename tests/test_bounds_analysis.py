@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from dsim import desimulate_any, simulate_any
 from dsim.bounds_analysis import (
     check_majorization,
     chi_square,
     chi_square_vs_pmf,
-    desimulate_any,
     empirical_length,
     exact_expected_length_unit,
     integer_cells,
@@ -18,7 +18,6 @@ from dsim.bounds_analysis import (
     loglog_slope,
     paper_gamma_accounting,
     reference_bound,
-    simulate_any,
     thm1_bound,
     thm2_bound,
     thm3_bound,

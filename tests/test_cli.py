@@ -1,11 +1,15 @@
 """Command line behavior, exercised in process through main(argv)."""
 
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dsim
 from dsim.cli import main
 from dsim.bounds_analysis import thm2_bound
 from dsim.bitcodes import read_container
@@ -173,3 +177,33 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         header = read_container(blob.read_bytes())[0]
         assert header.n == 20
+
+
+# Prints the analysis-stack modules (scipy.stats, scipy.integrate) loaded by a
+# fresh `import dsim`, then those loaded after one encode and one decode
+# through main.
+BOUNDARY_PROBE = """
+import json, sys
+def analysis():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate")))
+import dsim
+loaded = [analysis()]
+from dsim.cli import main
+spec, blob, csv = sys.argv[1:]
+assert main(["encode", "--dist", spec, "-n", "200", "--seed", "1", "-o", blob]) == 0
+assert main(["decode", blob, "--seed", "2", "-o", csv]) == 0
+loaded.append(analysis())
+print(json.dumps(loaded))
+"""
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize("spec", ["geometric:p=0.7", "triangular", "exp:lambda=1"])
+    def test_codec_path_loads_no_analysis_stack(self, spec, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(dsim.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", BOUNDARY_PROBE, spec, str(tmp_path / "x.dsim"), str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == 201

@@ -224,7 +224,7 @@ class TestTripleCodec:
         xs = TRI.cdf_inverse(rng.gen.random(400))
         ys = rng.gen.random(400) * TRI.pdf(xs)
         sink = BitSink()
-        write_triples(collect_triples(xs, ys, TRI, rng.child("retry")), sink)
+        write_triples(collect_triples(*locate_batch(xs, ys, TRI), TRI, rng.child("retry")), sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
         triples = decode_triples(src, 400)
         assert src.bits_remaining == 0
@@ -375,7 +375,7 @@ class TestResampling:
         rng = RandomSource.from_seed(71)
         xs = STEEP_UNIT.cdf_inverse(rng.gen.random(5000))
         ys = rng.gen.random(5000) * STEEP_UNIT.pdf(xs)
-        triples = collect_triples(xs, ys, STEEP_UNIT, rng.child("retry"))
+        triples = collect_triples(*locate_batch(xs, ys, STEEP_UNIT), STEEP_UNIT, rng.child("retry"))
         assert sum(c for _, _, c in triples) == 5000
         assert max(k for k, _, _ in triples) <= MAX_DEPTH
 

@@ -17,7 +17,7 @@ from dsim.bitcodes import (
     write_container,
 )
 from dsim.distributions import MonotonePdf, exponential, pareto_flat, triangular
-from dsim.dyadic_codec import collect_triples, write_triples
+from dsim.dyadic_codec import collect_triples, locate_batch, write_triples
 from dsim.halfline_codec import desimulate, restrict_to_bin, simulate
 from dsim.integer_codec import decode_multiset, encode_multiset
 from dsim.rng import RandomSource
@@ -197,7 +197,7 @@ def per_bin_reference(f, n, rng):
     for i, xs in zip(uniq.tolist(), np.split((values - (bins - 1))[order], starts[1:])):
         restricted = restrict_to_bin(f, i)
         ys = heights.random(xs.size) * restricted.pdf(xs)
-        write_triples(collect_triples(xs, ys, restricted, retry.child(i)), sink)
+        write_triples(collect_triples(*locate_batch(xs, ys, restricted), restricted, retry.child(i)), sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
 
@@ -255,6 +255,21 @@ class TestOnePassEncoder:
             values = f.sample(rng.child("values"), 1000)
             assert values.max() > 2**16 and values.min() < 2**16
             assert simulate(f, 1000, rng) == per_bin_reference(f, 1000, rng)
+
+    def test_stuck_bin_is_located_once(self, monkeypatch):
+        # one locator call covers every draw; later calls see only the retries
+        seen = []
+        original = dyadic_codec.locate_batch
+
+        def counting(xs, *args, **kwargs):
+            seen.append(np.size(xs))
+            return original(xs, *args, **kwargs)
+
+        monkeypatch.setattr(dyadic_codec, "locate_batch", counting)
+        n = 30000
+        simulate(exponential(2.0**58), n, RandomSource.from_seed(0))
+        assert seen[0] == n and len(seen) > 1
+        assert sum(seen[1:]) < n
 
     def test_resampling_bins_are_found(self):
         # the reference's own draws leave unresolved points in two bins

@@ -5,8 +5,7 @@ import hashlib
 
 import pytest
 
-from dsim import dyadic_codec, halfline_codec, integer_codec
-from dsim.bounds_analysis import desimulate_any, simulate_any
+from dsim import desimulate_any, dyadic_codec, halfline_codec, integer_codec, simulate_any
 from dsim.distributions import exponential, geometric, pareto_flat, triangular, zipf
 from dsim.rng import RandomSource
 
