@@ -92,61 +92,55 @@ class BitSink:
         return bytes(self._bytes)
 
     def to_bitstring(self) -> str:
-        bits = []
-        for byte in self._bytes:
-            bits.append(f"{byte:08b}")
-        if self._nacc:
-            bits.append(f"{self._acc:0{self._nacc}b}")
-        return "".join(bits)
+        data = self.to_bytes()
+        return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")[:self.bit_length]
 
 
 class BitSource:
     """Bounded bit reader over a byte buffer.
 
+    The window is held as a string of '0' and '1' characters, read by slicing.
     Reading past ``bit_length`` raises TruncatedStreamError; padding bits
     beyond the declared payload are never silently served.
     """
 
-    __slots__ = ("_data", "_pos", "_limit")
+    __slots__ = ("_bits", "_pos")
 
     def __init__(self, data: bytes, bit_length: int | None = None, bit_offset: int = 0):
         if bit_length is None:
             bit_length = 8 * len(data) - bit_offset
         if bit_offset < 0 or bit_length < 0 or bit_offset + bit_length > 8 * len(data):
             raise ValueError("bit window exceeds the buffer")
-        self._data = data
-        self._pos = bit_offset
-        self._limit = bit_offset + bit_length
+        chunk = data[bit_offset >> 3:(bit_offset + bit_length + 7) >> 3]
+        start = bit_offset & 7
+        bits = format(int.from_bytes(chunk, "big"), f"0{8 * len(chunk)}b")
+        self._bits = bits[start:start + bit_length]
+        self._pos = 0
 
     @classmethod
     def from_bitstring(cls, s: str) -> "BitSource":
-        sink = BitSink()
-        for ch in s:
-            sink.write_bit(int(ch))
-        return cls(sink.to_bytes(), bit_length=len(s))
+        if not set(s) <= {"0", "1"}:
+            raise ValueError("a bit string holds only the characters 0 and 1")
+        source = cls.__new__(cls)
+        source._bits, source._pos = s, 0
+        return source
 
     @property
     def bits_remaining(self) -> int:
-        return self._limit - self._pos
+        return len(self._bits) - self._pos
 
     def read_bit(self) -> int:
-        pos = self._pos
-        if pos >= self._limit:
-            raise TruncatedStreamError("bit stream exhausted")
-        self._pos = pos + 1
-        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
+        return self.read_bits(1)
 
     def read_bits(self, width: int) -> int:
         if width < 0:
             raise ValueError("width must be >= 0")
         pos = self._pos
         end = pos + width
-        if end > self._limit:
+        if end > len(self._bits):
             raise TruncatedStreamError("bit stream exhausted")
-        first, last = pos >> 3, (end + 7) >> 3
-        chunk = int.from_bytes(self._data[first:last], "big")
         self._pos = end
-        return (chunk >> (8 * last - end)) & ((1 << width) - 1)
+        return int(self._bits[pos:end] or "0", 2)
 
 
 def _check_value(z: int) -> int:
@@ -169,12 +163,15 @@ def gamma_encode(z: int, sink: BitSink) -> None:
 
 
 def gamma_decode(source: BitSource) -> int:
-    n = 0
-    while source.read_bit() == 0:
-        n += 1
-        if n > 62:
-            raise FormatError("gamma prefix longer than any admissible value")
-    return (1 << n) | source.read_bits(n)
+    bits, pos = source._bits, source._pos
+    # the zero run: no admissible codeword starts with more than 62 zeros
+    one = bits.find("1", pos, pos + 63)
+    if one < 0:
+        if len(bits) - pos < 63:
+            raise TruncatedStreamError("bit stream exhausted")
+        raise FormatError("gamma prefix longer than any admissible value")
+    source._pos = one
+    return source.read_bits(one - pos + 1)  # the leading 1 and one bit per zero
 
 
 def gamma_length(z: int) -> int:

@@ -139,6 +139,7 @@ def exact_expected_length_unit(f: MonotonePdf, n: int, k_max: int = 8) -> float:
     if f.support != "unit":
         raise ValueError("the unit-scheme enumerator needs a density on [0, 1]")
     _require(n >= 1, "n must be >= 1")
+    _require(k_max >= 0, "k_max must be >= 0")
     cuts = (1 << np.arange(int(n).bit_length()))[:, None] - 1  # P(M >= 2**j) = sf(2**j - 1)
     total = 0.0
     for k in range(k_max + 1):
@@ -158,6 +159,7 @@ def truncated_payload_bits(data: bytes, k_max: int = 8) -> int:
     enumerator ignores rectangles deeper than k_max, so a fair comparison
     must drop their codeword bits too.
     """
+    _require(k_max >= 0, "k_max must be >= 0")
     header, source = read_container(data)
     if header.scheme != SCHEME_UNIT:
         raise ValueError("depth truncation applies to unit-scheme containers")

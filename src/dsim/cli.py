@@ -132,6 +132,8 @@ def cmd_exact_length(args) -> int:
 def cmd_verify(args) -> int:
     from . import bounds_analysis
 
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     dist = parse_spec(args.dist)
     root = RandomSource.from_seed(args.seed)
     passed = 0

@@ -12,11 +12,12 @@ the x-coordinate is uniform on that rectangle's x-interval.
 
 The codeword lists the occupied rectangles in lexicographic (k, a) order,
 which is the order of their heap nodes 2**(k-1) + a (node 0 for k = 0), each
-as shifted-gamma(k), shifted-gamma(a), gamma(count); write_triples is
-the one writer of that layout, for this scheme and the half-line scheme.
-No rectangle lies deeper than MAX_DEPTH, the one depth limit: the encoder
-searches every depth up to it before it resamples a point, the locator
-cannot reach past it, and the decoder rejects deeper triples.
+as shifted-gamma(k), shifted-gamma(a), gamma(count).  For this scheme and
+the half-line scheme, collect_triples is the one path from located points to
+triples and write_triples the one writer of that layout.  No rectangle lies
+deeper than MAX_DEPTH, the only depth: the locator searches every depth up
+to it, collect_triples redraws the rare point that none catches, and the
+decoder rejects deeper triples.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ RETRY_BUDGET = 100
 
 
 class DepthExceededError(RuntimeError):
-    """No rectangle with depth k <= k_max contains the point."""
+    """No rectangle with depth k <= MAX_DEPTH contains the point."""
 
 
 def _offset_in_range(k: int, a: int) -> bool:
@@ -89,13 +90,13 @@ def rect_area(k: int, a: int, f) -> float:
     return (x_hi - x_lo) * max(y_hi - y_lo, 0.0)
 
 
-def locate(x: float, y: float, f, k_max: int = MAX_DEPTH) -> tuple[int, int]:
+def locate(x: float, y: float, f) -> tuple[int, int]:
     """Indices (k, a) of the rectangle containing hypograph point (x, y).
 
     The offset is tracked by doubling x one bit at a time, which is exact in
     binary floating point, so the result agrees with direct membership tests
     against rect_bounds.  Raises DepthExceededError when every depth up to
-    k_max misses; callers with a randomness source may resample the point.
+    MAX_DEPTH misses; callers with a randomness source may resample the point.
     """
     if not 0.0 <= x < 1.0:
         raise ValueError("x must lie in [0, 1)")
@@ -105,7 +106,7 @@ def locate(x: float, y: float, f, k_max: int = MAX_DEPTH) -> tuple[int, int]:
         return 0, 0
     t = x
     a = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, MAX_DEPTH + 1):
         if k > 1:
             t *= 2.0
             a <<= 1
@@ -117,13 +118,13 @@ def locate(x: float, y: float, f, k_max: int = MAX_DEPTH) -> tuple[int, int]:
             y_hi = f.pdf((2 * a + 1) * 2.0 ** -k)
             if y_lo <= y < y_hi:
                 return k, a
-    raise DepthExceededError(f"no rectangle up to depth {k_max} contains the point")
+    raise DepthExceededError(f"no rectangle up to depth {MAX_DEPTH} contains the point")
 
 
-def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = MAX_DEPTH, *, density=None):
+def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, density=None):
     """Vectorized locate.  Returns (ks, offsets, unresolved_mask).
 
-    Points that no rectangle up to k_max catches are flagged in the mask
+    Points that no rectangle up to MAX_DEPTH catches are flagged in the mask
     rather than raising, so callers can resample just those.  Each depth
     visits only the points still unplaced: m = floor(x * 2**k) is exact for
     x in [0, 1) and k <= MAX_DEPTH, its low bit is clear exactly when x lies
@@ -134,8 +135,6 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = MAX_DEPTH, *, d
     call locates points lying under different densities, such as the
     half-line scheme's bins.
     """
-    if k_max > MAX_DEPTH:
-        raise ValueError(f"offsets are tracked in int64, so k_max must be <= {MAX_DEPTH}")
     if density is None:
         def density(x, points):
             return f.pdf(x)
@@ -147,7 +146,7 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, k_max: int = MAX_DEPTH, *, d
     hit0 = (ys >= density(2.0, every)) & (ys < density(1.0, every))
     ks[hit0] = 0
     idx = np.flatnonzero(~hit0)
-    for k in range(1, k_max + 1):
+    for k in range(1, MAX_DEPTH + 1):
         if not idx.size:
             break
         m = np.ldexp(xs[idx], k).astype(np.int64)
@@ -173,17 +172,20 @@ def _hypograph_draw(f, gen, size: int):
     return xs, ys
 
 
-def collect_triples(ks, offs, bad, f, retry_rng: RandomSource) -> list[tuple[int, int, int]]:
+def collect_triples(ks, offs, bad, resample_from) -> list[tuple[int, int, int]]:
     """Sorted (k, a, count) triples of located hypograph points.
 
-    ks, offs and bad are locate_batch's output for points of f's hypograph.
-    The points that bad flags are replaced, in place, by fresh hypograph
-    draws from retry_rng, which leaves the encoded law unchanged.
-    DepthExceededError is raised if some are still uncaught after
-    RETRY_BUDGET rounds.
+    ks, offs and bad are locate_batch's output for points of some law f's
+    hypograph.  The points that bad flags are replaced, in place, by fresh
+    hypograph draws, which leaves the encoded law unchanged.  resample_from()
+    returns (f, retry_rng) for those draws; it is called once, and only if
+    bad flags a point.  DepthExceededError is raised if some are still
+    uncaught after RETRY_BUDGET rounds.
     """
     rounds = 0
     while bad.any():
+        if not rounds:
+            f, retry_rng = resample_from()
         rounds += 1
         if rounds > RETRY_BUDGET:
             raise DepthExceededError(f"depth budget still exhausted after {RETRY_BUDGET} resamples")
@@ -265,7 +267,7 @@ def simulate(f, n: int, rng: RandomSource) -> bytes:
     if n == 0:
         return write_container(SCHEME_UNIT, 0, sink)
     xs, ys = _hypograph_draw(f, rng.child("points").gen, n)
-    write_triples(collect_triples(*locate_batch(xs, ys, f), f, rng.child("retry")), sink)
+    write_triples(collect_triples(*locate_batch(xs, ys, f), lambda: (f, rng.child("retry"))), sink)
     return write_container(SCHEME_UNIT, n, sink)
 
 

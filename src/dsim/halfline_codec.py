@@ -10,10 +10,10 @@ only the heights are drawn fresh.
 
 The encoder works on all bins in one pass: it sorts the draws by bin, draws
 every height at once and locates every point with one locator call, each
-point measured against its own bin's restriction (restrict_to_bin).  Only a
-bin holding a point that no rectangle up to the depth limit catches goes
-through the per-bin resampling path.  The bytes are those of one stream per
-bin in turn.
+point measured against its own bin's restriction (restrict_to_bin).  Every
+bin is then grouped by collect_triples; only a bin holding a point that no
+rectangle up to MAX_DEPTH catches builds its restricted law and retry source
+to redraw that point.  The bytes are those of one stream per bin in turn.
 
 The decoder never evaluates the density: bin counts come from the integer
 payload and within-bin positions from the rectangle indices alone.  It reads
@@ -34,7 +34,6 @@ from .bitcodes import (
 from .distributions import MonotonePdf
 from . import dyadic_codec
 from .dyadic_codec import (
-    _count_rectangles,
     collect_triples,
     decode_triples,
     points_from_triples,
@@ -146,16 +145,9 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     ys *= density(xs, slice(None))
     # called through the module, so a wrapper installed there sees the call
     ks, offs, unresolved = dyadic_codec.locate_batch(xs, ys, f, density=density)
-    stuck = np.zeros(uniq.size, dtype=bool)
-    stuck[which[unresolved]] = True
-    retry = rng.child("retry") if stuck.any() else None
-    for j, (i, lo, hi) in enumerate(zip(uniq.tolist(), edges[:-1].tolist(), edges[1:].tolist())):
-        if stuck[j]:
-            triples = collect_triples(ks[lo:hi], offs[lo:hi], unresolved[lo:hi],
-                                      restrict_to_bin(f, i), retry.child(i))
-        else:
-            triples = _count_rectangles(ks[lo:hi], offs[lo:hi])
-        write_triples(triples, sink)
+    for i, lo, hi in zip(uniq.tolist(), edges[:-1].tolist(), edges[1:].tolist()):
+        write_triples(collect_triples(ks[lo:hi], offs[lo:hi], unresolved[lo:hi],
+                                      lambda: (restrict_to_bin(f, i), rng.child("retry", i))), sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
 

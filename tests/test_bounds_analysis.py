@@ -139,6 +139,8 @@ class TestEnumerator:
             exact_expected_length_unit(exponential(1.0), 10)
         with pytest.raises(ValueError):
             exact_expected_length_unit(triangular(), 0)
+        with pytest.raises(ValueError, match="k_max"):
+            exact_expected_length_unit(triangular(), 10, k_max=-1)
 
 
 class TestTruncatedPayload:
@@ -162,6 +164,11 @@ class TestTruncatedPayload:
         data = int_simulate(geometric(0.5), 10, RandomSource.from_seed(1))[0]
         with pytest.raises(ValueError):
             truncated_payload_bits(data)
+
+    def test_rejects_negative_depth_cut(self):
+        data = unit_simulate(triangular(), 50, RandomSource.from_seed(11))
+        with pytest.raises(ValueError, match="k_max"):
+            truncated_payload_bits(data, k_max=-1)
 
 
 class TestEmpirical:

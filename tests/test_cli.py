@@ -141,6 +141,10 @@ class TestExactLength:
         code, _, err = run(["exact-length", "--dist", "exp:lambda=1", "--n-list", "10"], capsys)
         assert code == 1 and err.startswith("error:")
 
+    def test_rejects_negative_kmax(self, capsys):
+        code, out, err = run(["exact-length", "--dist", "triangular", "--n-list", "10", "--kmax", "-1"], capsys)
+        assert code == 1 and out == "" and err.startswith("error:") and "k_max" in err
+
 
 class TestVerify:
     def test_passing_run(self, capsys):
@@ -165,6 +169,12 @@ class TestVerify:
         code, out, _ = run(["verify", "--dist", "geometric:p=0.7",
                             "-n", "100", "--trials", "3", "--seed", "1"], capsys)
         assert code == 1 and "passed 0/3" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_rejects_no_trials(self, capsys, trials):
+        code, out, err = run(["verify", "--dist", "geometric:p=0.7",
+                              "-n", "100", "--trials", trials, "--seed", "1"], capsys)
+        assert code == 1 and out == "" and err == "error: trials must be >= 1\n"
 
 
 class TestConsoleScript:

@@ -1,10 +1,11 @@
 """Dyadic rectangle decomposition, locate, and the unit-interval scheme."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsim import dyadic_codec, halfline_codec
@@ -18,8 +19,8 @@ from dsim.bitcodes import (
     shifted_gamma_encode,
     write_container,
 )
-from dsim.bounds_analysis import ks_two_sample
-from dsim.distributions import exponential, triangular
+from dsim.bounds_analysis import ks_two_sample, verify_trial
+from dsim.distributions import MonotonePdf, exponential, triangular
 from dsim.dyadic_codec import (
     MAX_DEPTH,
     DepthExceededError,
@@ -107,15 +108,15 @@ class TestRectangles:
         rect_bounds(3, 3, TRI)  # largest admissible offset at depth 3
 
 
-def assert_batch_matches_scalar(xs, ys, f, k_max=MAX_DEPTH):
+def assert_batch_matches_scalar(xs, ys, f):
     """Check locate_batch against scalar locate point by point."""
-    ks, offs, bad = locate_batch(xs, ys, f, k_max)
+    ks, offs, bad = locate_batch(xs, ys, f)
     for x, y, k, a, unresolved in zip(xs.tolist(), ys.tolist(), ks.tolist(), offs.tolist(), bad.tolist()):
         if unresolved:
             with pytest.raises(DepthExceededError):
-                locate(x, y, f, k_max)
+                locate(x, y, f)
         else:
-            assert locate(x, y, f, k_max) == (k, a)
+            assert locate(x, y, f) == (k, a)
     return ks, bad
 
 
@@ -141,12 +142,7 @@ class TestLocate:
         rng = RandomSource.from_seed(56)
         xs = TRI.cdf_inverse(rng.gen.random(500))
         ys = rng.gen.random(500) * TRI.pdf(xs)
-        assert_batch_matches_scalar(xs, ys, TRI, 20)
-
-    def test_depth_budget(self):
-        # x just above 1/2 needs depth 2, so a budget of 1 must fail
-        with pytest.raises(DepthExceededError):
-            locate(0.6, 0.2, TRI, k_max=1)
+        assert_batch_matches_scalar(xs, ys, TRI)
 
     def test_point_validation(self):
         with pytest.raises(ValueError):
@@ -181,10 +177,6 @@ class TestLocate:
         ys = tops * np.tile([0.0, 0.25, 0.5, 1.0], 4)
         ys[3::4] = np.nextafter(tops[3::4], 0.0)
         assert_batch_matches_scalar(xs, ys, f)
-
-    def test_batch_kmax_cap(self):
-        with pytest.raises(ValueError):
-            locate_batch(np.array([0.3]), np.array([0.1]), TRI, 63)
 
 
 def single_triple(k: int, a: int, count: int) -> BitSink:
@@ -224,7 +216,7 @@ class TestTripleCodec:
         xs = TRI.cdf_inverse(rng.gen.random(400))
         ys = rng.gen.random(400) * TRI.pdf(xs)
         sink = BitSink()
-        write_triples(collect_triples(*locate_batch(xs, ys, TRI), TRI, rng.child("retry")), sink)
+        write_triples(collect_triples(*locate_batch(xs, ys, TRI), lambda: (TRI, rng.child("retry"))), sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
         triples = decode_triples(src, 400)
         assert src.bits_remaining == 0
@@ -375,9 +367,22 @@ class TestResampling:
         rng = RandomSource.from_seed(71)
         xs = STEEP_UNIT.cdf_inverse(rng.gen.random(5000))
         ys = rng.gen.random(5000) * STEEP_UNIT.pdf(xs)
-        triples = collect_triples(*locate_batch(xs, ys, STEEP_UNIT), STEEP_UNIT, rng.child("retry"))
+        triples = collect_triples(*locate_batch(xs, ys, STEEP_UNIT), lambda: (STEEP_UNIT, rng.child("retry")))
         assert sum(c for _, _, c in triples) == 5000
         assert max(k for k, _, _ in triples) <= MAX_DEPTH
+
+    def test_stream_without_unresolved_points_derives_no_retry_source(self, monkeypatch):
+        labels = []
+        child = RandomSource.child
+
+        def recording(self, *path):
+            labels.extend(path)
+            return child(self, *path)
+
+        monkeypatch.setattr(RandomSource, "child", recording)
+        # a triangular point lies past MAX_DEPTH with probability about 2**-62
+        simulate(TRI, 1000, RandomSource.from_seed(75))
+        assert "retry" not in labels and "points" in labels
 
     @pytest.mark.parametrize("codec, f", [(dyadic_codec, STEEP_UNIT), (halfline_codec, STEEP_HALFLINE)],
                              ids=["unit", "halfline"])
@@ -392,3 +397,113 @@ class TestResampling:
         # the unit law is the exponential's bin 1, which holds all but e**-(2**58) of its mass
         stat, ok = ks_two_sample(out, STEEP_HALFLINE.sample(RandomSource.from_seed(74), n), alpha=0.01)
         assert ok, f"KS={stat:.4f}"
+
+
+# Step edges lie on multiples of 1/GRID: some dyadic (1/4, 1/2, the half-line
+# bin edges 1, 2, 3), some not (1/12, 1/3).
+GRID = 12
+
+
+def step_law(support: str, cuts, heights, length: int = GRID) -> MonotonePdf:
+    """Density proportional to heights[j] between the j-th and (j+1)-th of the
+    edges 0 < cuts < length, in units of 1/GRID, and 0 from length/GRID on.
+    heights must be non-increasing; equal neighbours make a flat stretch."""
+    edges = np.array([0, *cuts, length], dtype=float) / GRID
+    end = edges[-1]
+    h = np.asarray(heights, dtype=float)
+    h /= h @ np.diff(edges)
+    cum = np.concatenate(([0.0], np.cumsum(h * np.diff(edges))))
+
+    def piece(x):
+        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, h.size - 1)
+
+    def pdf(x):
+        return np.where((x >= 0.0) & (x < end), h[piece(x)], 0.0)
+
+    def cdf(x):
+        xc = np.clip(x, 0.0, end)
+        j = piece(xc)
+        return np.minimum(cum[j] + h[j] * (xc - edges[j]), 1.0)
+
+    def cdf_inverse(u):
+        j = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, h.size - 1)
+        return np.minimum(edges[j] + (u - cum[j]) / h[j], np.nextafter(end, 0.0))
+
+    return MonotonePdf(f"step{list(cuts)}/{length}{list(heights)}", support, pdf, cdf, cdf_inverse,
+                       f0=h[0], params={"jumps": edges[1:], "end": end})
+
+
+@st.composite
+def step_laws(draw, support: str) -> MonotonePdf:
+    # a half-line law ends on a multiple of 1/4, at most 4
+    length = GRID if support == "unit" else 3 * draw(st.integers(1, 16))
+    cuts = sorted(draw(st.sets(st.integers(1, length - 1), max_size=5)))
+    heights = draw(st.lists(st.integers(1, 4), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return step_law(support, cuts, sorted(heights, reverse=True), length)
+
+
+def unit_pieces(f: MonotonePdf):
+    """(unit law, its jump points in (0, 1]): f itself, or each occupied bin's restriction."""
+    jumps = f.params["jumps"]
+    if f.support == "unit":
+        return [(f, jumps)]
+    return [(restrict_to_bin(f, i), jumps[(jumps > i - 1) & (jumps <= i)] - (i - 1))
+            for i in range(1, math.ceil(f.params["end"]) + 1)]
+
+
+def step_depth_area(f, k: int, jumps) -> float:
+    """depth_area_sum(f, k) for a step density whose jumps lie in jumps.
+    R(k, a) has positive height only when its cell's right half holds a jump,
+    so only those offsets (and, against rounding, their neighbours) are summed."""
+    if k == 0:
+        return rect_area(0, 0, f)
+    top = 2 ** (k - 1) - 1
+    offs = {min(max(math.ceil(p * 2.0 ** (k - 1)) - 1 + d, 0), top) for p in jumps for d in (-1, 0, 1)}
+    return sum(rect_area(k, a, f) for a in offs)
+
+
+STEP_CASES = [
+    step_law("unit", [1, 4, 6], [4, 3, 3, 1]),  # non-dyadic 1/12, 1/3; dyadic 1/2
+    step_law("halfline", [5, 12, 18], [4, 2, 2, 1], 27),  # jump at the bin edge 1
+    step_law("halfline", [4, 13, 36], [3, 2, 1, 1], 48),  # non-dyadic jumps on [0, 4]
+]
+ANY_STEP_LAW = st.one_of(step_laws("unit"), step_laws("halfline"))
+
+
+class TestStepLaws:
+    """Arbitrary non-increasing step densities, not only the built-in laws."""
+
+    @given(f=ANY_STEP_LAW, seed=st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    @example(f=STEP_CASES[1], seed=1)
+    def test_locator_and_partition(self, f, seed):
+        gen = RandomSource.from_seed(seed).gen
+        for g, jumps in unit_pieces(f):
+            xs = g.cdf_inverse(gen.random(100))
+            ys = gen.random(100) * g.pdf(xs)
+            assert_batch_matches_scalar(xs, ys, g)
+            # points on each jump and just left of it, at the bottom, middle and top
+            at = np.concatenate([jumps, np.nextafter(jumps, 0.0)])
+            at = np.repeat(at[(at < 1.0) & (g.pdf(at) > 0.0)], 3)
+            ys = g.pdf(at) * np.tile([0.0, 0.5, np.nextafter(1.0, 0.0)], at.size // 3)
+            assert_batch_matches_scalar(at, ys, g)
+            for k in range(11):
+                assert step_depth_area(g, k, jumps) == pytest.approx(depth_area_sum(g, k), rel=1e-12, abs=1e-15)
+            assert sum(step_depth_area(g, k, jumps) for k in range(25)) == pytest.approx(1.0, abs=1e-6)
+
+    @given(f=ANY_STEP_LAW, n=st.integers(1, 400), seed=st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    @example(f=STEP_CASES[1], n=300, seed=1)
+    def test_round_trip(self, f, n, seed):
+        codec = dyadic_codec if f.support == "unit" else halfline_codec
+        blob = codec.simulate(f, n, RandomSource.from_seed(seed))
+        assert blob == codec.simulate(f, n, RandomSource.from_seed(seed))
+        out = codec.desimulate(blob, RandomSource.from_seed(seed + 1))
+        assert np.array_equal(out, codec.desimulate(blob, RandomSource.from_seed(seed + 1)))
+        assert out.size == n and np.all((out >= 0.0) & (out < f.params["end"]))
+
+    @pytest.mark.parametrize("f", STEP_CASES, ids=lambda f: f.name)
+    def test_decoded_law(self, f):
+        root = RandomSource.from_seed(2027)
+        passed = sum(verify_trial(f, 2000, root.child(t), alpha=0.01)[2] for t in range(20))
+        assert passed >= 18, f"only {passed}/20 seeds passed"

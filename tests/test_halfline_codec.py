@@ -197,7 +197,7 @@ def per_bin_reference(f, n, rng):
     for i, xs in zip(uniq.tolist(), np.split((values - (bins - 1))[order], starts[1:])):
         restricted = restrict_to_bin(f, i)
         ys = heights.random(xs.size) * restricted.pdf(xs)
-        write_triples(collect_triples(*locate_batch(xs, ys, restricted), restricted, retry.child(i)), sink)
+        write_triples(collect_triples(*locate_batch(xs, ys, restricted), lambda: (restricted, retry.child(i))), sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
 
