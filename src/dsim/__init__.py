@@ -19,7 +19,7 @@ package does not load them.
 import numpy as np
 
 from . import dyadic_codec, halfline_codec, integer_codec
-from .bitcodes import SCHEME_NAMES, read_container
+from .bitcodes import SCHEME_NAMES, read_header
 from .rng import RandomSource
 
 __version__ = "0.1.0"
@@ -37,5 +37,6 @@ def simulate_any(dist, n: int, rng: RandomSource) -> bytes:
 
 
 def desimulate_any(data: bytes, rng: RandomSource) -> np.ndarray:
-    """Decode with the codec that the container's scheme byte names."""
-    return _CODECS[SCHEME_NAMES[read_container(data)[0].scheme]].desimulate(data, rng)
+    """Decode with the codec that the container's scheme byte names; only the
+    header is read here, the codec parses the payload."""
+    return _CODECS[SCHEME_NAMES[read_header(data).scheme]].desimulate(data, rng)

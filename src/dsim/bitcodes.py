@@ -29,6 +29,7 @@ __all__ = [
     "shifted_gamma_decode",
     "shifted_gamma_length",
     "write_container",
+    "read_header",
     "read_container",
 ]
 
@@ -215,8 +216,8 @@ def write_container(scheme: int, n: int, payload: BitSink) -> bytes:
     return header + payload.to_bytes()
 
 
-def read_container(data: bytes) -> tuple[ContainerHeader, BitSource]:
-    """Parse and validate a container, returning its header and payload reader."""
+def read_header(data: bytes) -> ContainerHeader:
+    """Parse and validate a container's header and framing, without a payload reader."""
     if len(data) < HEADER_SIZE:
         raise FormatError(f"container shorter than the {HEADER_SIZE}-byte header")
     if data[:4] != MAGIC:
@@ -233,4 +234,10 @@ def read_container(data: bytes) -> tuple[ContainerHeader, BitSource]:
         raise FormatError("container holds more than one byte of padding")
     if data[-1] & ((1 << (body_bits - payload_bits)) - 1):
         raise FormatError("padding bits after the payload must be zero")
-    return ContainerHeader(scheme, n, payload_bits), BitSource(data, payload_bits, bit_offset=8 * HEADER_SIZE)
+    return ContainerHeader(scheme, n, payload_bits)
+
+
+def read_container(data: bytes) -> tuple[ContainerHeader, BitSource]:
+    """Parse and validate a container, returning its header and payload reader."""
+    header = read_header(data)
+    return header, BitSource(data, header.payload_bits, bit_offset=8 * HEADER_SIZE)

@@ -19,7 +19,7 @@ from scipy.stats import binom as _binom
 from scipy.stats import chi2 as _chi2
 
 from . import desimulate_any, dyadic_codec, simulate_any
-from .bitcodes import SCHEME_UNIT, gamma_length, read_container, shifted_gamma_length
+from .bitcodes import SCHEME_UNIT, gamma_length, read_container, read_header, shifted_gamma_length
 from .distributions import IntegerDistribution, MonotonePdf
 from .dyadic_codec import rect_area
 from .rng import RandomSource
@@ -192,7 +192,7 @@ def empirical_length(dist, n: int, trials: int, seed: int) -> EmpiricalLength:
     lengths = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         data = simulate_any(dist, n, root.child("trial", t))
-        lengths[t] = read_container(data)[0].payload_bits
+        lengths[t] = read_header(data).payload_bits
     mean = float(lengths.mean())
     stderr = float(lengths.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return EmpiricalLength(dist.support, dist.name, n, trials,
@@ -211,43 +211,39 @@ def reference_bound(dist, n: int) -> float | None:
     return thm4_bound(cert.c, cert.lam, dist.f0, n) if cert.kind == "power" else None
 
 
-_KS_COEFF = {0.01: 1.628, 0.05: 1.358, 0.10: 1.224}
+_KS_COEFF = 1.628  # large-sample two-sample KS coefficient at 0.01, the level of every test
 _MIN_EXPECTED = 10.0  # least expected count of a chi-square cell
 
 
-def ks_two_sample(a, b, alpha: float = 0.01) -> tuple[float, bool]:
-    """Two-sample Kolmogorov-Smirnov statistic and accept/reject at alpha.
+def ks_two_sample(a, b) -> tuple[float, bool]:
+    """Two-sample Kolmogorov-Smirnov statistic and accept/reject at level 0.01.
 
-    The critical value is c(alpha) sqrt((m + n) / (m n)) with the standard
-    large-sample coefficients; alpha must be one of 0.01, 0.05, 0.10.
+    The critical value is 1.628 sqrt((m + n) / (m n)), the standard
+    large-sample coefficient at that level.
     """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     m, n = a.size, b.size
     _require(m > 0 and n > 0, "both samples must be nonempty")
-    coeff = _KS_COEFF.get(alpha)
-    if coeff is None:
-        raise ValueError(f"alpha must be one of {sorted(_KS_COEFF)}")
     pooled = np.concatenate([a, b])
     gap = (np.searchsorted(a, pooled, side="right") / m
            - np.searchsorted(b, pooled, side="right") / n)
     stat = float(np.abs(gap).max())
-    return stat, stat <= coeff * math.sqrt((m + n) / (m * n))
+    return stat, stat <= _KS_COEFF * math.sqrt((m + n) / (m * n))
 
 
-def chi_square(counts, probs, alpha: float = 0.01) -> tuple[float, bool]:
+def chi_square(counts, probs) -> tuple[float, bool]:
     """Pearson chi-square statistic against cell probabilities, and the
-    accept/reject outcome at level alpha with len(counts) - 1 degrees."""
+    accept/reject outcome at level 0.01 with len(counts) - 1 degrees."""
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     _require(counts.shape == probs.shape and counts.ndim == 1, "counts and probs must be matching vectors")
     _require(counts.size >= 2, "need at least two cells")
     _require(bool(np.all(probs > 0.0)), "cell probabilities must be positive")
     _require(abs(float(probs.sum()) - 1.0) < 1e-6, "cell probabilities must sum to 1")
-    _require(0.0 < alpha < 1.0, "alpha must be in (0, 1)")
     expected = counts.sum() * probs
     stat = float(((counts - expected) ** 2 / expected).sum())
-    critical = float(_chi2.ppf(1.0 - alpha, counts.size - 1))
+    critical = float(_chi2.ppf(0.99, counts.size - 1))
     return stat, stat <= critical
 
 
@@ -264,16 +260,18 @@ def integer_cells(dist: IntegerDistribution, n_draws: int) -> tuple[int, np.ndar
     return k, probs
 
 
-def chi_square_vs_pmf(samples, dist: IntegerDistribution, alpha: float = 0.01) -> tuple[float, bool]:
-    """Chi-square goodness of fit of integer samples against the handle's pmf."""
+def chi_square_vs_pmf(samples, dist: IntegerDistribution) -> tuple[float, bool]:
+    """Chi-square goodness of fit of integer samples against the handle's pmf,
+    at level 0.01."""
     samples = np.asarray(samples)
     k, probs = integer_cells(dist, samples.size)
     counts = np.bincount(np.minimum(samples, k + 1), minlength=k + 2)[1:]
-    return chi_square(counts, probs, alpha)
+    return chi_square(counts, probs)
 
 
-def verify_trial(dist, n: int, rng: RandomSource, alpha: float = 0.01) -> tuple[str, float, bool]:
-    """One encode/decode round trip plus a distribution test on the output.
+def verify_trial(dist, n: int, rng: RandomSource) -> tuple[str, float, bool]:
+    """One encode/decode round trip plus a distribution test at level 0.01 on
+    the output.
 
     Integer outputs face a chi-square test against the declared pmf; real
     outputs face a two-sample KS test against a fresh direct sample.
@@ -282,10 +280,10 @@ def verify_trial(dist, n: int, rng: RandomSource, alpha: float = 0.01) -> tuple[
     data = simulate_any(dist, n, rng.child("sim"))
     out = desimulate_any(data, rng.child("dec"))
     if dist.support == "int":
-        stat, ok = chi_square_vs_pmf(out, dist, alpha)
+        stat, ok = chi_square_vs_pmf(out, dist)
         return "chi_square", stat, ok
     reference = dist.sample(rng.child("ref"), n)
-    stat, ok = ks_two_sample(out, reference, alpha)
+    stat, ok = ks_two_sample(out, reference)
     return "ks", stat, ok
 
 

@@ -276,9 +276,7 @@ def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     header, source = read_container(data)
     if header.scheme != SCHEME_UNIT:
         raise FormatError(f"expected a unit-scheme container, got scheme {header.scheme:#x}")
-    if header.n == 0:
-        return np.empty(0, dtype=float)
-    triples = decode_triples(source, header.n)
+    triples = decode_triples(source, header.n) if header.n else []
     if source.bits_remaining:
         raise FormatError(f"{source.bits_remaining} unread payload bits after the triples")
     out = points_from_triples(triples, rng.child("points").gen)

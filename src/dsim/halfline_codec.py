@@ -156,9 +156,9 @@ def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     header, source = read_container(data)
     if header.scheme != SCHEME_HALFLINE:
         raise FormatError(f"expected a half-line container, got scheme {header.scheme:#x}")
-    if header.n == 0:
-        return np.empty(0, dtype=float)
-    uniq, edges = _bin_runs(decode_multiset(source, header.n))
+    # no samples, no bins: decode_multiset needs n >= 1
+    uniq, edges = (_bin_runs(decode_multiset(source, header.n)) if header.n
+                   else (np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)))
     counts = np.diff(edges)
     triples = []
     for count in counts.tolist():

@@ -100,9 +100,7 @@ def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     header, source = read_container(data)
     if header.scheme != SCHEME_INTEGER:
         raise FormatError(f"expected an integer-scheme container, got scheme {header.scheme:#x}")
-    if header.n == 0:
-        return np.empty(0, dtype=np.int64)
-    out = decode_multiset(source, header.n)
+    out = decode_multiset(source, header.n) if header.n else np.empty(0, dtype=np.int64)
     if source.bits_remaining:
         raise FormatError(f"{source.bits_remaining} unread payload bits after the multiset")
     rng.child("order").gen.shuffle(out)

@@ -229,8 +229,7 @@ def test_criterion_7_decoded_output_is_distributionally_exact(capsys):
         for scheme, dist in pairs:
             passed = 0
             for t in range(100):
-                passed += verify_trial(dist, 10**4, root.child(scheme, dist.name, t),
-                                       alpha=0.01)[2]
+                passed += verify_trial(dist, 10**4, root.child(scheme, dist.name, t))[2]
             assert passed >= 90, f"{scheme}/{dist.name}: only {passed}/100 seeds passed"
             rates.append(f"{scheme}/{dist.name} {passed}/100")
         note["detail"] = "; ".join(rates)

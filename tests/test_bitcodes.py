@@ -12,12 +12,14 @@ from dsim.bitcodes import (
     SCHEME_UNIT,
     BitSink,
     BitSource,
+    ContainerHeader,
     FormatError,
     TruncatedStreamError,
     gamma_decode,
     gamma_encode,
     gamma_length,
     read_container,
+    read_header,
     shifted_gamma_decode,
     shifted_gamma_encode,
     shifted_gamma_length,
@@ -253,6 +255,18 @@ class TestContainer:
             data[-1] |= bit
             with pytest.raises(FormatError, match="padding"):
                 read_container(bytes(data))
+
+    def test_read_header_checks_what_read_container_checks(self):
+        sink = BitSink()
+        sink.write_bits(0b1, 1)
+        data = write_container(SCHEME_UNIT, 3, sink)
+        assert read_header(data) == read_container(data)[0] == ContainerHeader(SCHEME_UNIT, 3, 1)
+        malformed = [data[:10], b"XSIM" + data[4:], data[:4] + b"\x63" + data[5:], data[:5] + b"\x77" + data[6:],
+                     data[:-1], data + b"\x00", data[:-1] + bytes([data[-1] | 1])]
+        for bad in malformed:
+            for reader in (read_header, read_container):
+                with pytest.raises(FormatError):
+                    reader(bad)
 
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):

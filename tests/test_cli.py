@@ -12,7 +12,7 @@ import pytest
 import dsim
 from dsim.cli import main
 from dsim.bounds_analysis import thm2_bound
-from dsim.bitcodes import read_container
+from dsim.bitcodes import BitSource, read_container
 from dsim.distributions import geometric
 from dsim.integer_codec import simulate as int_simulate
 from dsim.rng import RandomSource
@@ -83,10 +83,62 @@ class TestEncodeDecode:
         code, _, err = run(["decode", str(blob), "--seed", "1"], capsys)
         assert code == 1 and err.startswith("error: container:")
 
+    def test_decode_corrupt_payload(self, tmp_path, capsys):
+        blob = tmp_path / "z.dsim"
+        run(["encode", "--dist", "zipf:s=3",
+             "-n", "100", "--seed", "5", "-o", str(blob)], capsys)
+        data = blob.read_bytes()
+        blob.write_bytes(data[:22] + bytes(len(data) - 22))  # a valid header over an all-zero payload
+        code, _, err = run(["decode", str(blob), "--seed", "1"], capsys)
+        assert code == 1 and err.startswith("error: container:") and err.count("\n") == 1
+
     def test_bad_dist_spec(self, tmp_path, capsys):
         code, _, err = run(["encode", "--dist", "nosuch:p=1",
                             "-n", "5", "--seed", "1", "-o", str(tmp_path / "x")], capsys)
         assert code == 1 and err.startswith("error:")
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--dist", "geometric:p=0.7", "-n", "10", "--seed", "1"],
+        ["decode", "BLOB", "--seed", "1"],
+        ["bench", "--dist", "geometric:p=0.7", "--n-list", "10", "--trials", "2", "--seed", "1"],
+        ["exact-length", "--dist", "triangular", "--n-list", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_output_into_missing_directory(self, argv, tmp_path, capsys):
+        blob = tmp_path / "g.dsim"
+        run(["encode", "--dist", "geometric:p=0.7", "-n", "10", "--seed", "1", "-o", str(blob)], capsys)
+        argv = [str(blob) if arg == "BLOB" else arg for arg in argv]
+        code, _, err = run(argv + ["-o", str(tmp_path / "missing" / "out")], capsys)
+        assert code == 1 and err.startswith("error: io:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestPayloadReaders:
+    """Only the codec builds a reader over a container's payload; the front
+    door reads the header alone."""
+
+    @pytest.fixture
+    def readers(self, monkeypatch):
+        built = []
+        init = BitSource.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BitSource, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("spec", ["geometric:p=0.7", "triangular", "exp:lambda=1"])
+    def test_one_reader_per_decoded_container(self, spec, readers, tmp_path, capsys):
+        blob = tmp_path / "x.dsim"
+        assert run(["encode", "--dist", spec, "-n", "100", "--seed", "1", "-o", str(blob)], capsys)[0] == 0
+        assert readers == []
+        dsim.desimulate_any(blob.read_bytes(), RandomSource.from_seed(2))
+        assert len(readers) == 1
+        assert run(["decode", str(blob), "--seed", "2"], capsys)[0] == 0
+        assert len(readers) == 2
 
 
 class TestBench:
@@ -161,14 +213,20 @@ class TestVerify:
 
         original = bounds_analysis.verify_trial
 
-        def always_fail(dist, n, rng, alpha=0.01):
-            name, stat, _ = original(dist, n, rng, alpha)
+        def always_fail(dist, n, rng):
+            name, stat, _ = original(dist, n, rng)
             return name, stat, False
 
         monkeypatch.setattr(bounds_analysis, "verify_trial", always_fail)
         code, out, _ = run(["verify", "--dist", "geometric:p=0.7",
                             "-n", "100", "--trials", "3", "--seed", "1"], capsys)
         assert code == 1 and "passed 0/3" in out
+
+    def test_level_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--dist", "geometric:p=0.7", "-n", "100", "--trials", "3",
+                  "--seed", "1", "--alpha", "0.05"])
+        assert exc.value.code == 2 and "--alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_rejects_no_trials(self, capsys, trials):

@@ -48,7 +48,7 @@ class TestGeometric:
     def test_sampler_is_exact_law(self):
         from dsim.bounds_analysis import chi_square_vs_pmf
 
-        stat, ok = chi_square_vs_pmf(draws(self.dist), self.dist, alpha=0.01)
+        stat, ok = chi_square_vs_pmf(draws(self.dist), self.dist)
         assert ok, f"chi2={stat:.2f}"
 
     def test_certificate(self):
@@ -87,7 +87,7 @@ class TestZipf:
     def test_sampler_is_exact_law(self):
         from dsim.bounds_analysis import chi_square_vs_pmf
 
-        stat, ok = chi_square_vs_pmf(draws(self.dist), self.dist, alpha=0.01)
+        stat, ok = chi_square_vs_pmf(draws(self.dist), self.dist)
         assert ok, f"chi2={stat:.2f}"
 
     def test_sampler_is_inverse_cdf(self):

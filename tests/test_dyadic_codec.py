@@ -49,14 +49,19 @@ TRUNCATED_EXP = restrict_to_bin(exponential(6.0), 1)
 
 
 def depth_area_sum(f, k: int) -> float:
-    """Total area of all rectangles at one depth, computed vectorized."""
+    """Total area of all rectangles at one depth, vectorized over chunks of
+    2**16 offsets so that memory stays bounded at any depth."""
     if k == 0:
         return rect_area(0, 0, f)
-    a = np.arange(2 ** (k - 1), dtype=float)
     width = 2.0**-k
-    y_hi = f.pdf((2.0 * a + 1.0) * width)
-    y_lo = f.pdf((a + 1.0) * (2.0 * width))
-    return float((width * np.maximum(y_hi - y_lo, 0.0)).sum())
+    offsets = 2 ** (k - 1)
+    total = 0.0
+    for start in range(0, offsets, 2**16):
+        a = np.arange(start, min(start + 2**16, offsets), dtype=float)
+        y_hi = f.pdf((2.0 * a + 1.0) * width)
+        y_lo = f.pdf((a + 1.0) * (2.0 * width))
+        total += float((width * np.maximum(y_hi - y_lo, 0.0)).sum())
+    return total
 
 
 class TestRectangles:
@@ -395,7 +400,7 @@ class TestResampling:
         assert out.size == n
         assert np.all((out >= 0.0) & (out < 1.0))
         # the unit law is the exponential's bin 1, which holds all but e**-(2**58) of its mass
-        stat, ok = ks_two_sample(out, STEEP_HALFLINE.sample(RandomSource.from_seed(74), n), alpha=0.01)
+        stat, ok = ks_two_sample(out, STEEP_HALFLINE.sample(RandomSource.from_seed(74), n))
         assert ok, f"KS={stat:.4f}"
 
 
@@ -505,5 +510,5 @@ class TestStepLaws:
     @pytest.mark.parametrize("f", STEP_CASES, ids=lambda f: f.name)
     def test_decoded_law(self, f):
         root = RandomSource.from_seed(2027)
-        passed = sum(verify_trial(f, 2000, root.child(t), alpha=0.01)[2] for t in range(20))
+        passed = sum(verify_trial(f, 2000, root.child(t))[2] for t in range(20))
         assert passed >= 18, f"only {passed}/20 seeds passed"

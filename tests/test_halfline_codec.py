@@ -180,7 +180,7 @@ class TestScheme:
         data = simulate(EXP1, n, RandomSource.from_seed(77))
         out = desimulate(data, RandomSource.from_seed(78))
         ref = EXP1.sample(RandomSource.from_seed(79), n)
-        stat, ok = ks_two_sample(out, ref, alpha=0.01)
+        stat, ok = ks_two_sample(out, ref)
         assert ok, f"KS={stat:.4f}"
 
 

@@ -178,7 +178,7 @@ class TestScheme:
             idx = perms.setdefault(out, len(perms))
             counts[idx] += 1
         assert len(perms) == 6
-        stat, ok = chi_square(counts, np.full(6, 1 / 6), alpha=0.01)
+        stat, ok = chi_square(counts, np.full(6, 1 / 6))
         assert ok, f"orderings not uniform: chi2={stat:.1f}"
 
     def test_rejects_wrong_scheme_container(self):

@@ -1,11 +1,13 @@
-"""Properties shared by the three schemes: pinned container bytes and the
-check every codec makes on the kind of handle it is given."""
+"""Properties shared by the three schemes: pinned container bytes, the
+check every codec makes on the kind of handle it is given, and the empty
+stream."""
 
 import hashlib
 
 import pytest
 
 from dsim import desimulate_any, dyadic_codec, halfline_codec, integer_codec, simulate_any
+from dsim.bitcodes import SCHEME_HALFLINE, SCHEME_INTEGER, SCHEME_UNIT, BitSink, FormatError, write_container
 from dsim.distributions import exponential, geometric, pareto_flat, triangular, zipf
 from dsim.rng import RandomSource
 
@@ -75,3 +77,16 @@ def test_codecs_reject_handles_of_the_wrong_kind(codec, dist):
     for seed in range(20):
         with pytest.raises(ValueError):
             codec.simulate(dist, 3, RandomSource.from_seed(seed))
+
+
+@pytest.mark.parametrize("codec, scheme", [
+    (integer_codec, SCHEME_INTEGER),
+    (dyadic_codec, SCHEME_UNIT),
+    (halfline_codec, SCHEME_HALFLINE),
+], ids=["int", "unit", "halfline"])
+def test_empty_stream_carries_no_payload(codec, scheme):
+    sink = BitSink()
+    assert codec.desimulate(write_container(scheme, 0, sink), RandomSource.from_seed(1)).size == 0
+    sink.write_bits(0b1011, 4)  # leftover bits are rejected at n = 0 as at n >= 1
+    with pytest.raises(FormatError, match="unread payload bits"):
+        codec.desimulate(write_container(scheme, 0, sink), RandomSource.from_seed(1))
