@@ -7,12 +7,15 @@ against the closed-form ceilings), bound (evaluate one ceiling), exact-length
 distribution tests at level 0.01 over many seeds).  All randomness derives
 from --seed, so identical invocations produce byte-identical outputs.  main
 alone turns exceptions into messages: a malformed container, an unreadable or
-unwritable file, or other bad input prints one error line and exits 1.
+unwritable file, or other bad input prints one error line and exits 1.  Each
+command reads its input before it opens its output, and does its work after,
+so a bad -o fails before any work is done.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -32,12 +35,11 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_output(path: str, binary: bool = False):
+    """The -o file opened for writing, or stdout for '-'."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout.buffer if binary else sys.stdout)
+    return open(path, "wb" if binary else "w", newline=None if binary else "\n")
 
 
 def _int_list(spec: str) -> list[int]:
@@ -52,24 +54,26 @@ def _int_list(spec: str) -> list[int]:
 
 def cmd_encode(args) -> int:
     dist = parse_spec(args.dist)
-    data = simulate_any(dist, args.n, RandomSource.from_seed(args.seed))
-    with open(args.output, "wb") as fh:
+    with _open_output(args.output, binary=True) as fh:
+        data = simulate_any(dist, args.n, RandomSource.from_seed(args.seed))
         fh.write(data)
     header = read_header(data)
-    print(f"wrote {args.output}: scheme={dist.support} n={header.n} payload_bits={header.payload_bits}")
+    print(f"wrote {args.output}: scheme={dist.support} n={header.n} payload_bits={header.payload_bits}",
+          file=sys.stderr if args.output == "-" else sys.stdout)
     return 0
 
 
 def cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
-    values = desimulate_any(data, RandomSource.from_seed(args.seed))
-    lines = ["value"]
-    if values.dtype == np.int64:
-        lines.extend(str(int(v)) for v in values)
-    else:
-        lines.extend(_fmt(v) for v in values)
-    _write_text(args.output, "\n".join(lines) + "\n")
+    with _open_output(args.output) as out:
+        values = desimulate_any(data, RandomSource.from_seed(args.seed))
+        lines = ["value"]
+        if values.dtype == np.int64:
+            lines.extend(str(int(v)) for v in values)
+        else:
+            lines.extend(_fmt(v) for v in values)
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -77,18 +81,19 @@ def cmd_bench(args) -> int:
     from . import bounds_analysis
 
     dist = parse_spec(args.dist)
-    rows = ["scheme,dist,n,trials,mean_bits,stderr_bits,bound_bits"]
-    means = []
-    for n in args.n_list:
-        result = bounds_analysis.empirical_length(dist, n, args.trials, args.seed)
-        bound = bounds_analysis.reference_bound(dist, n)
-        means.append((n, result.mean))
-        rows.append(",".join([dist.support, args.dist, str(n), str(args.trials),
-                              _fmt(result.mean), _fmt(result.stderr),
-                              _fmt(bound) if bound is not None else ""]))
-    slope = bounds_analysis.loglog_slope(means) if len({n for n, _ in means}) >= 2 else float("nan")
-    rows.append(",".join([dist.support, args.dist, "slope", str(args.trials), _fmt(slope), "", ""]))
-    _write_text(args.output, "\n".join(rows) + "\n")
+    with _open_output(args.output) as out:
+        rows = ["scheme,dist,n,trials,mean_bits,stderr_bits,bound_bits"]
+        means = []
+        for n in args.n_list:
+            result = bounds_analysis.empirical_length(dist, n, args.trials, args.seed)
+            bound = bounds_analysis.reference_bound(dist, n)
+            means.append((n, result.mean))
+            rows.append(",".join([dist.support, args.dist, str(n), str(args.trials),
+                                  _fmt(result.mean), _fmt(result.stderr),
+                                  _fmt(bound) if bound is not None else ""]))
+        slope = bounds_analysis.loglog_slope(means) if len({n for n, _ in means}) >= 2 else float("nan")
+        rows.append(",".join([dist.support, args.dist, "slope", str(args.trials), _fmt(slope), "", ""]))
+        out.write("\n".join(rows) + "\n")
     return 0
 
 
@@ -110,11 +115,12 @@ def cmd_exact_length(args) -> int:
     from . import bounds_analysis
 
     dist = parse_spec(args.dist)
-    rows = ["dist,n,kmax,expected_bits"]
-    for n in args.n_list:
-        value = bounds_analysis.exact_expected_length_unit(dist, n, args.kmax)
-        rows.append(",".join([args.dist, str(n), str(args.kmax), _fmt(value)]))
-    _write_text(args.output, "\n".join(rows) + "\n")
+    with _open_output(args.output) as out:
+        rows = ["dist,n,kmax,expected_bits"]
+        for n in args.n_list:
+            value = bounds_analysis.exact_expected_length_unit(dist, n, args.kmax)
+            rows.append(",".join([args.dist, str(n), str(args.kmax), _fmt(value)]))
+        out.write("\n".join(rows) + "\n")
     return 0
 
 

@@ -46,11 +46,11 @@ class TailParams:
     def __post_init__(self):
         if self.kind not in ("power", "exponential"):
             raise ValueError(f"unknown tail kind {self.kind!r}")
-        if not self.c > 1.0:
-            raise ValueError("tail constant c must exceed 1")
+        if not 1.0 < self.c < math.inf:
+            raise ValueError(f"tail constant c must be finite and exceed 1, got {self.c:g}")
         low = 1.0 if self.kind == "power" else 0.0
-        if not self.lam > low:
-            raise ValueError(f"{self.kind} tail needs lambda > {low}")
+        if not low < self.lam < math.inf:
+            raise ValueError(f"{self.kind} tail needs a finite lambda > {low}")
 
     def bound(self, x):
         if self.kind == "power":
@@ -157,8 +157,10 @@ def geometric(p: float) -> IntegerDistribution:
         return np.where(x < 0, 1.0, np.exp(np.maximum(x, 0.0) * log_q))
 
     def sampler(rng, size):
-        u = rng.gen.random(size)
-        return np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1
+        x = np.floor(np.log1p(-rng.gen.random(size)) / log_q)
+        if not x.max(initial=0.0) < 2.0**63:  # x + 1 would pass 2**63 - 1
+            raise ValueError(f"geometric(p={p:g}) drew a value above 2**63 - 1")
+        return x.astype(np.int64) + 1
 
     cert = TailParams(c=1.5, lam=-log_q, kind="exponential")
     return IntegerDistribution(f"geometric(p={p:g})", pmf, tail, sampler, cert)
@@ -167,8 +169,8 @@ def geometric(p: float) -> IntegerDistribution:
 def zipf(s: float) -> IntegerDistribution:
     """Power law pmf(x) = x**-s / zeta(s) on the positive integers."""
     s = float(s)
-    if not s > 2.0:
-        raise ValueError("zipf needs s > 2 so that a power certificate with lambda > 1 exists")
+    if not 2.0 < s < math.inf:
+        raise ValueError("zipf needs a finite s > 2 so that a power certificate with lambda > 1 exists")
     z_full = float(_hurwitz_zeta(s, 1.0))
 
     def pmf(x):
@@ -227,8 +229,8 @@ def triangular() -> MonotonePdf:
 def exponential(lam: float = 1.0) -> MonotonePdf:
     """Exponential law with rate lam on the half line."""
     lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError("exponential needs lam > 0")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("exponential needs a finite lam > 0")
 
     def pdf(x):
         with np.errstate(over="ignore"):
@@ -245,7 +247,7 @@ def exponential(lam: float = 1.0) -> MonotonePdf:
 
     # Smallest admissible power certificate with exponent 2:
     # exp(-lam x) <= c x**-2 for all x > 0 iff c >= (2 / (e lam))**2.
-    c = max(2.0, 2.0 * (2.0 / (math.e * lam)) ** 2)
+    c = max(2.0, 2.0 * (2.0 / (math.e * lam)) * (2.0 / (math.e * lam)))  # inf on overflow
     cert = TailParams(c=c, lam=2.0, kind="power")
     return MonotonePdf(f"exp(lambda={lam:g})", "halfline", pdf, cdf, cdf_inverse,
                        f0=lam, tail=tail, tail_params=cert, params={"lam": lam})
@@ -260,10 +262,12 @@ def pareto_flat(c: float = 2.0, lam: float = 2.0) -> MonotonePdf:
     """
     c = float(c)
     lam = float(lam)
-    if not (c > 1.0 and lam > 1.0):
-        raise ValueError("pareto_flat needs c > 1 and lam > 1")
+    if not (1.0 < c < math.inf and 1.0 < lam < math.inf):
+        raise ValueError("pareto_flat needs finite c > 1 and lam > 1")
     t0 = (c * (lam + 1.0)) ** (1.0 / lam)
     f0 = c * lam * t0 ** -(lam + 1.0)
+    if not 0.0 < f0 < math.inf:  # t0 or f0 overflowed
+        raise ValueError(f"pareto_flat(c={c:g},lambda={lam:g}) has no finite flat head")
     head_mass = f0 * t0  # equals lam / (lam + 1)
 
     def pdf(x):

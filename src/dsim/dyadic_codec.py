@@ -58,7 +58,7 @@ MAX_DEPTH = 62
 RETRY_BUDGET = 100
 
 
-class DepthExceededError(RuntimeError):
+class DepthExceededError(ValueError):
     """No rectangle with depth k <= MAX_DEPTH contains the point."""
 
 
@@ -224,9 +224,9 @@ def write_triples(triples, sink: BitSink) -> None:
 
 
 def decode_triples(source: BitSource, n: int) -> list[tuple[int, int, int]]:
-    """Read (k, a, count) triples until their counts sum to n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Read (k, a, count) triples until their counts sum to n (none for n = 0)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     out = []
     total = 0
     while total < n:
@@ -264,8 +264,6 @@ def simulate(f, n: int, rng: RandomSource) -> bytes:
     if n < 0:
         raise ValueError("n must be >= 0")
     sink = BitSink()
-    if n == 0:
-        return write_container(SCHEME_UNIT, 0, sink)
     xs, ys = _hypograph_draw(f, rng.child("points").gen, n)
     write_triples(collect_triples(*locate_batch(xs, ys, f), lambda: (f, rng.child("retry"))), sink)
     return write_container(SCHEME_UNIT, n, sink)
@@ -276,7 +274,7 @@ def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     header, source = read_container(data)
     if header.scheme != SCHEME_UNIT:
         raise FormatError(f"expected a unit-scheme container, got scheme {header.scheme:#x}")
-    triples = decode_triples(source, header.n) if header.n else []
+    triples = decode_triples(source, header.n)
     if source.bits_remaining:
         raise FormatError(f"{source.bits_remaining} unread payload bits after the triples")
     out = points_from_triples(triples, rng.child("points").gen)

@@ -15,9 +15,10 @@ bin is then grouped by collect_triples; only a bin holding a point that no
 rectangle up to MAX_DEPTH catches builds its restricted law and retry source
 to redraw that point.  The bytes are those of one stream per bin in turn.
 
-The decoder never evaluates the density: bin counts come from the integer
-payload and within-bin positions from the rectangle indices alone.  It reads
-each bin's triples in turn and expands all of them with one draw.
+The decoder never evaluates the density: it reads the integer payload as runs,
+each occupied bin with its count, and within-bin positions come from the
+rectangle indices alone.  It reads each bin's triples in turn and expands all
+of them with one draw.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .bitcodes import (
     SCHEME_HALFLINE,
-    BitSink,
     FormatError,
     read_container,
     write_container,
@@ -56,12 +56,6 @@ def _bin_pdf(f: MonotonePdf, x, shift, mass, b=()):
     arrays shift (i - 1) and mass.  The picks happen inside the expression,
     so no copy of them outlives its one operation."""
     return np.where((x >= 0.0) & (x <= 1.0), f.pdf(x + shift[b]) / mass[b], 0.0)
-
-
-def _bin_runs(sorted_bins: np.ndarray):
-    """The distinct values of a sorted array and the edges [0, ..., size] of their runs."""
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(sorted_bins)) + 1, [sorted_bins.size]))
-    return sorted_bins[edges[:-1]], edges
 
 
 def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
@@ -112,17 +106,19 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
         raise ValueError(f"the half-line scheme needs a density on [0, inf), got {f!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    sink = BitSink()
-    if n == 0:
-        return write_container(SCHEME_HALFLINE, 0, sink)
     values = f.sample(rng.child("values"), n)
+    if not values.max(initial=0.0) < 2.0**63:  # its bin would pass 2**63 - 1
+        raise ValueError(f"{f.name} drew a value past bin 2**63 - 1")
     bins = np.floor(values).astype(np.int64) + 1
-    encode_multiset(bins, sink)
+    sink = encode_multiset(bins)
     # a stable sort keeps each bin's draws in draw order; numpy radix-sorts
     # 16-bit keys, about four times faster than int64 ones at n = 10**6
-    small = bins.max() <= 1 << 16
+    small = bins.max(initial=0) <= 1 << 16
     order = np.argsort((bins - 1).astype(np.uint16) if small else bins, kind="stable")
-    uniq, edges = _bin_runs(bins[order])
+    bins = bins[order]
+    # the runs of the sorted bins; bins are >= 1, so the first one starts a run
+    edges = np.append(np.flatnonzero(np.diff(bins, prepend=0)), n)
+    uniq = bins[edges[:-1]]
     del bins
     # per bin, the same shift and mass as restrict_to_bin; per point, its bin
     shift = (uniq - 1).astype(float)
@@ -156,13 +152,8 @@ def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     header, source = read_container(data)
     if header.scheme != SCHEME_HALFLINE:
         raise FormatError(f"expected a half-line container, got scheme {header.scheme:#x}")
-    # no samples, no bins: decode_multiset needs n >= 1
-    uniq, edges = (_bin_runs(decode_multiset(source, header.n)) if header.n
-                   else (np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)))
-    counts = np.diff(edges)
-    triples = []
-    for count in counts.tolist():
-        triples += decode_triples(source, count)
+    uniq, counts = decode_multiset(source, header.n)
+    triples = [t for count in counts.tolist() for t in decode_triples(source, count)]
     if source.bits_remaining:
         raise FormatError(f"{source.bits_remaining} unread payload bits after the last bin")
     # one draw of all the uniforms equals the per-bin draws in bin order

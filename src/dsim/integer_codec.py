@@ -7,8 +7,9 @@ differences D_1 = X(1), D_i = X(i) - X(i-1).  D_1 is written bare as a gamma
 codeword.  Each later group is either "1" followed by gamma(D_i) for a
 positive difference, or "0" followed by gamma(j) for a run of j zero
 differences (j maximal, so a positive difference or the end of the multiset
-follows).  The decoder needs the target count n, which the container header
-carries; no terminator is spent inside the payload.
+follows); the empty multiset has the empty codeword.  The decoder needs the
+count n, which the container header carries, so no terminator is spent inside
+the payload; it returns the distinct values and their multiplicities.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ __all__ = ["encode_multiset", "decode_multiset", "simulate", "desimulate"]
 
 
 def encode_multiset(values, sink: BitSink | None = None) -> BitSink:
-    """Append the codeword for a nonempty multiset of integers in [1, 2**63 - 1]."""
+    """Append the codeword for a multiset of integers in [1, 2**63 - 1]."""
     arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("multiset must be a nonempty 1-d collection")
-    if arr.min() < 1:
+    if arr.ndim != 1:
+        raise ValueError("multiset must be a 1-d collection")
+    if arr.size and arr.min() < 1:
         raise ValueError("multiset values must be >= 1")
     if sink is None:
         sink = BitSink()
@@ -53,28 +54,29 @@ def encode_multiset(values, sink: BitSink | None = None) -> BitSink:
     return sink
 
 
-def decode_multiset(source: BitSource, n: int) -> np.ndarray:
-    """Read back the sorted multiset of n values written by encode_multiset."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = np.empty(n, dtype=np.int64)
-    x = gamma_decode(source)
-    out[0] = x
-    filled = 1
+def decode_multiset(source: BitSource, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n values encode_multiset wrote, as (increasing distinct values, multiplicities)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    # a slot per run: np.empty leaves the pages of the unused slots untouched
+    values = np.empty(n, dtype=np.int64)
+    starts = np.empty(n + 1, dtype=np.int64)
+    runs = filled = x = 0
     while filled < n:
-        if source.read_bit():
+        if runs and not source.read_bit():
+            filled += gamma_decode(source)
+            if filled > n:
+                raise FormatError("zero run overshoots the declared count")
+        else:
             x += gamma_decode(source)
             if x > MAX_VALUE:
                 raise FormatError("decoded value exceeds 2**63 - 1")
-            out[filled] = x
+            values[runs] = x
+            starts[runs] = filled
+            runs += 1
             filled += 1
-        else:
-            j = gamma_decode(source)
-            if filled + j > n:
-                raise FormatError("zero run overshoots the declared count")
-            out[filled:filled + j] = x
-            filled += j
-    return out
+    starts[runs] = n
+    return values[:runs], starts[1:runs + 1] - starts[:runs]
 
 
 def simulate(dist, n: int, rng: RandomSource) -> tuple[bytes, np.ndarray]:
@@ -87,12 +89,8 @@ def simulate(dist, n: int, rng: RandomSource) -> tuple[bytes, np.ndarray]:
         raise ValueError(f"the int scheme needs an integer distribution, got {dist!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    sink = BitSink()
-    if n == 0:
-        return write_container(SCHEME_INTEGER, 0, sink), np.empty(0, dtype=np.int64)
     values = dist.sample(rng.child("values"), n)
-    encode_multiset(values, sink)
-    return write_container(SCHEME_INTEGER, n, sink), np.sort(values)
+    return write_container(SCHEME_INTEGER, n, encode_multiset(values)), np.sort(values)
 
 
 def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
@@ -100,7 +98,7 @@ def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     header, source = read_container(data)
     if header.scheme != SCHEME_INTEGER:
         raise FormatError(f"expected an integer-scheme container, got scheme {header.scheme:#x}")
-    out = decode_multiset(source, header.n) if header.n else np.empty(0, dtype=np.int64)
+    out = np.repeat(*decode_multiset(source, header.n))
     if source.bits_remaining:
         raise FormatError(f"{source.bits_remaining} unread payload bits after the multiset")
     rng.child("order").gen.shuffle(out)

@@ -158,6 +158,10 @@ class TestTruncatedPayload:
         header = read_container(data)[0]
         assert truncated_payload_bits(data, k_max=10**6) == header.payload_bits
 
+    def test_empty_stream_keeps_no_bits(self):
+        data = unit_simulate(triangular(), 0, RandomSource.from_seed(10))
+        assert truncated_payload_bits(data) == 0
+
     def test_rejects_other_schemes(self):
         from dsim.integer_codec import simulate as int_simulate
 

@@ -97,6 +97,32 @@ class TestEncodeDecode:
                             "-n", "5", "--seed", "1", "-o", str(tmp_path / "x")], capsys)
         assert code == 1 and err.startswith("error:")
 
+    # laws that parse_spec accepts but that overflow, lose all their mass to
+    # one point, or draw past 2**63 - 1; a warning counts as a failure here
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [
+        "exp:lambda=1e-300", "exp:lambda=1e308", "exp:lambda=inf", "exp:lambda=1e-20",
+        "pareto_flat:c=inf,lambda=2", "pareto_flat:c=2,lambda=inf", "pareto_flat:c=1e308,lambda=2",
+        "geometric:p=1e-300", "zipf:s=inf",
+    ])
+    def test_extreme_law_fails_with_one_error_line(self, spec, tmp_path, capsys):
+        code, out, err = run(["encode", "--dist", spec, "-n", "1000", "--seed", "1",
+                              "-o", str(tmp_path / "x.dsim")], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_encode_to_stdout(self, capsysbinary):
+        assert main(["encode", "--dist", "geometric:p=0.7", "-n", "50", "--seed", "3", "-o", "-"]) == 0
+        out, err = capsysbinary.readouterr()
+        assert out == int_simulate(geometric(0.7), 50, RandomSource.from_seed(3))[0]
+        assert err.startswith(b"wrote -: scheme=int n=50")
+
+    def test_decode_onto_its_own_input(self, tmp_path, capsys):
+        blob = tmp_path / "g.dsim"
+        run(["encode", "--dist", "geometric:p=0.7", "-n", "20", "--seed", "1", "-o", str(blob)], capsys)
+        assert run(["decode", str(blob), "--seed", "2", "-o", str(blob)], capsys)[0] == 0
+        assert len(blob.read_text().splitlines()) == 21
+
 
 class TestErrorBoundary:
     @pytest.mark.parametrize("argv", [
@@ -112,6 +138,17 @@ class TestErrorBoundary:
         code, _, err = run(argv + ["-o", str(tmp_path / "missing" / "out")], capsys)
         assert code == 1 and err.startswith("error: io:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_bench_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        from dsim import bounds_analysis
+
+        calls = []
+        monkeypatch.setattr(bounds_analysis, "empirical_length", lambda *args: calls.append(args))
+        code, _, err = run(["bench", "--dist", "exp:lambda=1", "--n-list", "10000,100000",
+                            "--trials", "20", "--seed", "1",
+                            "-o", str(tmp_path / "missing" / "x.csv")], capsys)
+        assert code == 1 and err.startswith("error: io:")
+        assert calls == []
 
 
 class TestPayloadReaders:

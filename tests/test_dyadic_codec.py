@@ -294,9 +294,12 @@ class TestTripleCodec:
         # exact rational bounds: (2a + 1) * 2**-k need not be a double
         assert all(Fraction(a, 2 ** (k - 1)) <= Fraction(p) < Fraction(2 * a + 1, 2**k) for p in pts.tolist())
 
-    def test_decode_needs_positive_n(self):
+    def test_decode_of_zero_points_reads_no_bit(self):
+        src = BitSource.from_bitstring("1")
+        assert decode_triples(src, 0) == []
+        assert src.bits_remaining == 1
         with pytest.raises(ValueError):
-            decode_triples(BitSource.from_bitstring("1"), 0)
+            decode_triples(src, -1)
 
 
 class TestScheme:

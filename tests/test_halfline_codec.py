@@ -112,7 +112,7 @@ class TestScheme:
         # the decoded values land in exactly the bins the encoder transmitted
         data = simulate(EXP1, 2000, RandomSource.from_seed(30))
         header, source = read_container(data)
-        sent_bins = decode_multiset(source, header.n)
+        sent_bins = np.repeat(*decode_multiset(source, header.n))
         out = desimulate(data, RandomSource.from_seed(31))
         got_bins = np.sort(np.floor(out).astype(np.int64) + 1)
         assert np.array_equal(got_bins, sent_bins)

@@ -23,7 +23,7 @@ def encode_to_bitstring(values) -> str:
 
 
 def decode_bitstring(s: str, n: int) -> list[int]:
-    return decode_multiset(BitSource.from_bitstring(s), n).tolist()
+    return np.repeat(*decode_multiset(BitSource.from_bitstring(s), n)).tolist()
 
 
 class TestKnownCodewords:
@@ -47,6 +47,11 @@ class TestKnownCodewords:
         assert decode_bitstring("0110010", 3) == [3, 3, 3]
         assert decode_bitstring("1111010", 3) == [1, 2, 4]
 
+    def test_decode_returns_runs(self):
+        values, counts = decode_multiset(BitSource.from_bitstring("010011011"), 3)
+        assert values.tolist() == [2, 5] and counts.tolist() == [2, 1]
+        assert values.dtype == counts.dtype == np.int64
+
     def test_order_does_not_matter(self):
         a = encode_to_bitstring([9, 1, 4, 4, 2])
         b = encode_to_bitstring([4, 4, 9, 2, 1])
@@ -69,7 +74,7 @@ class TestTableOfCounts:
         values = np.repeat(np.arange(1, 10), self.FREQS)
         sink = encode_multiset(values)
         src = BitSource(sink.to_bytes(), sink.bit_length)
-        assert np.array_equal(decode_multiset(src, values.size), np.sort(values))
+        assert np.array_equal(np.repeat(*decode_multiset(src, values.size)), np.sort(values))
         assert src.bits_remaining == 0
 
 
@@ -79,7 +84,7 @@ class TestRoundTrip:
     def test_arbitrary_multisets(self, values):
         sink = encode_multiset(values)
         src = BitSource(sink.to_bytes(), sink.bit_length)
-        assert decode_multiset(src, len(values)).tolist() == sorted(values)
+        assert np.repeat(*decode_multiset(src, len(values))).tolist() == sorted(values)
         assert src.bits_remaining == 0
 
     @given(st.lists(st.integers(MAX_VALUE - 3, MAX_VALUE), min_size=1, max_size=8))
@@ -87,21 +92,22 @@ class TestRoundTrip:
     def test_extreme_values(self, values):
         sink = encode_multiset(values)
         src = BitSource(sink.to_bytes(), sink.bit_length)
-        assert decode_multiset(src, len(values)).tolist() == sorted(values)
+        assert np.repeat(*decode_multiset(src, len(values))).tolist() == sorted(values)
 
     def test_streams_compose(self):
         sink = encode_multiset([4, 4, 7])
         encode_multiset([1, 100], sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
-        assert decode_multiset(src, 3).tolist() == [4, 4, 7]
-        assert decode_multiset(src, 2).tolist() == [1, 100]
+        assert np.repeat(*decode_multiset(src, 3)).tolist() == [4, 4, 7]
+        assert np.repeat(*decode_multiset(src, 2)).tolist() == [1, 100]
         assert src.bits_remaining == 0
 
 
 class TestValidation:
-    def test_empty_rejected(self):
+    def test_empty_multiset_has_the_empty_codeword(self):
+        assert encode_multiset([]).bit_length == 0
         with pytest.raises(ValueError):
-            encode_multiset([])
+            encode_multiset([[1, 2]])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -113,9 +119,14 @@ class TestValidation:
         with pytest.raises((ValueError, OverflowError)):
             encode_multiset([MAX_VALUE + 1])
 
-    def test_decode_needs_positive_n(self):
+    def test_decode_of_zero_values_reads_no_bit(self):
+        src = BitSource.from_bitstring("1")
+        values, counts = decode_multiset(src, 0)
+        assert values.size == counts.size == 0
+        assert values.dtype == counts.dtype == np.int64
+        assert src.bits_remaining == 1
         with pytest.raises(ValueError):
-            decode_multiset(BitSource.from_bitstring("1"), 0)
+            decode_multiset(src, -1)
 
     def test_decode_truncated(self):
         with pytest.raises(TruncatedStreamError):

@@ -1,13 +1,25 @@
 """Properties shared by the three schemes: pinned container bytes, the
-check every codec makes on the kind of handle it is given, and the empty
-stream."""
+check every codec makes on the kind of handle it is given, the empty
+stream, and decoding of corrupted payloads."""
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsim import desimulate_any, dyadic_codec, halfline_codec, integer_codec, simulate_any
-from dsim.bitcodes import SCHEME_HALFLINE, SCHEME_INTEGER, SCHEME_UNIT, BitSink, FormatError, write_container
+from dsim.bitcodes import (
+    SCHEME_HALFLINE,
+    SCHEME_INTEGER,
+    SCHEME_UNIT,
+    BitSink,
+    FormatError,
+    TruncatedStreamError,
+    read_container,
+    write_container,
+)
 from dsim.distributions import exponential, geometric, pareto_flat, triangular, zipf
 from dsim.rng import RandomSource
 
@@ -79,14 +91,65 @@ def test_codecs_reject_handles_of_the_wrong_kind(codec, dist):
             codec.simulate(dist, 3, RandomSource.from_seed(seed))
 
 
-@pytest.mark.parametrize("codec, scheme", [
-    (integer_codec, SCHEME_INTEGER),
-    (dyadic_codec, SCHEME_UNIT),
-    (halfline_codec, SCHEME_HALFLINE),
+@pytest.mark.parametrize("codec, scheme, dist", [
+    (integer_codec, SCHEME_INTEGER, geometric(0.7)),
+    (dyadic_codec, SCHEME_UNIT, triangular()),
+    (halfline_codec, SCHEME_HALFLINE, exponential(1.0)),
 ], ids=["int", "unit", "halfline"])
-def test_empty_stream_carries_no_payload(codec, scheme):
+def test_empty_stream_carries_no_payload(codec, scheme, dist):
     sink = BitSink()
-    assert codec.desimulate(write_container(scheme, 0, sink), RandomSource.from_seed(1)).size == 0
+    assert simulate_any(dist, 0, RandomSource.from_seed(1)) == write_container(scheme, 0, sink)
+    out = codec.desimulate(write_container(scheme, 0, sink), RandomSource.from_seed(1))
+    assert out.shape == (0,)
+    assert out.dtype == (np.int64 if codec is integer_codec else np.float64)
     sink.write_bits(0b1011, 4)  # leftover bits are rejected at n = 0 as at n >= 1
     with pytest.raises(FormatError, match="unread payload bits"):
         codec.desimulate(write_container(scheme, 0, sink), RandomSource.from_seed(1))
+
+
+# the payload bits and n of one valid stream per built-in law, to corrupt below
+VALID_PAYLOADS = []
+for _dist, _n in [(geometric(0.7), 300), (zipf(3.0), 200), (triangular(), 300),
+                  (exponential(1.0), 300), (pareto_flat(2.0, 2.0), 200)]:
+    _header, _source = read_container(simulate_any(_dist, _n, RandomSource.from_seed(_n)))
+    _bits = _header.payload_bits
+    VALID_PAYLOADS.append((_header.scheme, _n, format(_source.read_bits(_bits), f"0{_bits}b")))
+
+
+@st.composite
+def framed_payloads(draw):
+    """A valid header over random bits, or over a valid payload with bits
+    flipped and perhaps its tail cut; n stays at most 400."""
+    if draw(st.booleans()):
+        scheme = draw(st.sampled_from([SCHEME_INTEGER, SCHEME_UNIT, SCHEME_HALFLINE]))
+        n = draw(st.integers(0, 400))
+        bits = draw(st.text("01", max_size=400))
+    else:
+        scheme, n, valid = draw(st.sampled_from(VALID_PAYLOADS))
+        bits = list(valid)
+        for i in draw(st.lists(st.integers(0, len(bits) - 1), max_size=6)):
+            bits[i] = "10"[int(bits[i])]
+        if draw(st.booleans()):
+            bits = bits[:draw(st.integers(0, len(bits)))]
+        bits = "".join(bits)
+        n += draw(st.sampled_from([0, 0, -1, 1]))
+    sink = BitSink()
+    sink.write_bits(int(bits or "0", 2), len(bits))
+    return scheme, n, write_container(scheme, n, sink)
+
+
+@given(framed_payloads())
+@settings(max_examples=400, deadline=None)
+def test_corrupted_payload_decodes_in_support_or_raises_a_format_error(case):
+    scheme, n, data = case
+    try:
+        out = desimulate_any(data, RandomSource.from_seed(1))
+    except (FormatError, TruncatedStreamError):
+        return
+    assert out.shape == (n,) and np.all(np.isfinite(out))
+    if scheme == SCHEME_INTEGER:
+        assert np.all(out >= 1)
+    elif scheme == SCHEME_UNIT:
+        assert np.all((out >= 0.0) & (out < 1.0))
+    else:
+        assert np.all(out >= 0.0)
