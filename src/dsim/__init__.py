@@ -10,10 +10,10 @@ encoded multiset, in fresh order, for 'int') from the bitstream alone.
 simulate_any and desimulate_any pick the codec from the law's support and
 the container's scheme byte; every other name lives in its module
 (bitcodes, distributions, integer_codec, dyadic_codec, halfline_codec,
-rng).  The analysis tools in bounds_analysis (closed-form expected-length
-ceilings, exact expected-length enumeration, statistical verification of
-the decoded law) need scipy.stats and scipy.integrate, so importing the
-package does not load them.
+rng).  Only the analysis tools in bounds_analysis (closed-form
+expected-length ceilings, exact expected-length enumeration, statistical
+verification of the decoded law) need scipy, so importing the package,
+encoding and decoding load no scipy module.
 """
 
 import numpy as np

@@ -92,10 +92,6 @@ class BitSink:
             return bytes(self._bytes) + bytes([(self._acc << (8 - self._nacc)) & 0xFF])
         return bytes(self._bytes)
 
-    def to_bitstring(self) -> str:
-        data = self.to_bytes()
-        return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")[:self.bit_length]
-
 
 class BitSource:
     """Bounded bit reader over a byte buffer.
@@ -117,14 +113,6 @@ class BitSource:
         bits = format(int.from_bytes(chunk, "big"), f"0{8 * len(chunk)}b")
         self._bits = bits[start:start + bit_length]
         self._pos = 0
-
-    @classmethod
-    def from_bitstring(cls, s: str) -> "BitSource":
-        if not set(s) <= {"0", "1"}:
-            raise ValueError("a bit string holds only the characters 0 and 1")
-        source = cls.__new__(cls)
-        source._bits, source._pos = s, 0
-        return source
 
     @property
     def bits_remaining(self) -> int:

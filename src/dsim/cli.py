@@ -27,7 +27,7 @@ from .rng import RandomSource
 
 # theorem: the options its ceiling (bounds_analysis.thm<theorem>_bound)
 # takes before n, in order.  The analysis subcommands import bounds_analysis
-# when they run, so encode and decode never load scipy.stats.
+# when they run, so encode and decode never load scipy.
 _THEOREMS = {"1": ("c", "lam"), "2": ("c", "lam"), "3": ("f0",), "4": ("c", "lam", "f0")}
 
 

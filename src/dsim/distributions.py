@@ -7,6 +7,7 @@ MonotonePdf models laws with a non-increasing density on [0, 1] or [0, inf)
 TailParams certificate asserting P(X > x) <= c * x**-lam (power kind) or
 P(X > x) <= c * exp(-lam * x) (exponential kind); certificates feed the
 closed-form length bounds and can be spot-checked with validate_tail.
+zipf's zeta is a port of Cephes in Python floats: the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .rng import RandomSource
 
@@ -166,12 +166,54 @@ def geometric(p: float) -> IntegerDistribution:
     return IntegerDistribution(f"geometric(p={p:g})", pmf, tail, sampler, cert)
 
 
+# Cephes zeta.c: (2k)! / B_2k, the Euler-Maclaurin expansion coefficients
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 2.0**-53
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Sum over k >= 0 of (k + q)**-x, x > 1, q > 0: Cephes zeta(x, q), which
+    scipy.special.zeta calls, ported line for line to Python floats.  Their **
+    is libm's pow, so the results are scipy's bit for bit; numpy's SIMD pow is
+    not.  The exit tests skip s == 0, where C's 0/0 is a NaN that fails them."""
+    if x <= 1.0 or q <= 0.0:
+        raise ValueError("the Hurwitz zeta here needs x > 1 and q > 0")
+    if q > 1e8:  # asymptotic expansion, DLMF 25.11.43
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s, a, i, b = q**-x, q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if s != 0.0 and abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coeff in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coeff
+        s = s + t
+        if s != 0.0 and abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def zipf(s: float) -> IntegerDistribution:
     """Power law pmf(x) = x**-s / zeta(s) on the positive integers."""
     s = float(s)
     if not 2.0 < s < math.inf:
         raise ValueError("zipf needs a finite s > 2 so that a power certificate with lambda > 1 exists")
-    z_full = float(_hurwitz_zeta(s, 1.0))
+    z_full = _hurwitz_zeta(s, 1.0)
 
     def pmf(x):
         x = np.asarray(x)
@@ -181,12 +223,12 @@ def zipf(s: float) -> IntegerDistribution:
 
     def tail(x):
         # P(X > x) = zeta(s, floor(x) + 1) / zeta(s)
-        x = np.floor(np.asarray(x, dtype=float))
-        return _hurwitz_zeta(s, np.maximum(x, 0.0) + 1.0) / z_full
+        q = np.maximum(np.floor(np.asarray(x, dtype=float)), 0.0) + 1.0
+        return np.array([_hurwitz_zeta(s, v) for v in q.ravel().tolist()]).reshape(q.shape) / z_full
 
     # Inverse CDF: the smallest x with P(X > x) <= 1 - u.  A table covers all
     # but ~tail(table_size) of the mass; stragglers fall back to bisection.
-    table = 1.0 - _hurwitz_zeta(s, np.arange(2, 4098, dtype=float)) / z_full
+    table = 1.0 - np.array([_hurwitz_zeta(s, q) for q in np.arange(2.0, 4098.0).tolist()]) / z_full
 
     def sampler(rng, size):
         u = rng.gen.random(size)

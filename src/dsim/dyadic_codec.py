@@ -45,7 +45,6 @@ __all__ = [
     "DepthExceededError",
     "rect_bounds",
     "rect_area",
-    "locate",
     "locate_batch",
     "write_triples",
     "decode_triples",
@@ -90,39 +89,8 @@ def rect_area(k: int, a: int, f) -> float:
     return (x_hi - x_lo) * max(y_hi - y_lo, 0.0)
 
 
-def locate(x: float, y: float, f) -> tuple[int, int]:
-    """Indices (k, a) of the rectangle containing hypograph point (x, y).
-
-    The offset is tracked by doubling x one bit at a time, which is exact in
-    binary floating point, so the result agrees with direct membership tests
-    against rect_bounds.  Raises DepthExceededError when every depth up to
-    MAX_DEPTH misses; callers with a randomness source may resample the point.
-    """
-    if not 0.0 <= x < 1.0:
-        raise ValueError("x must lie in [0, 1)")
-    if not 0.0 <= y < f.pdf(x):
-        raise ValueError("point is not inside the density hypograph")
-    if f.pdf(2.0) <= y < f.pdf(1.0):
-        return 0, 0
-    t = x
-    a = 0
-    for k in range(1, MAX_DEPTH + 1):
-        if k > 1:
-            t *= 2.0
-            a <<= 1
-            if t >= 1.0:
-                t -= 1.0
-                a |= 1
-        if t < 0.5:
-            y_lo = f.pdf((a + 1) * 2.0 ** (1 - k))
-            y_hi = f.pdf((2 * a + 1) * 2.0 ** -k)
-            if y_lo <= y < y_hi:
-                return k, a
-    raise DepthExceededError(f"no rectangle up to depth {MAX_DEPTH} contains the point")
-
-
 def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, density=None):
-    """Vectorized locate.  Returns (ks, offsets, unresolved_mask).
+    """Rectangles R(k, a) holding hypograph points: (ks, offsets, unresolved_mask).
 
     Points that no rectangle up to MAX_DEPTH catches are flagged in the mask
     rather than raising, so callers can resample just those.  Each depth

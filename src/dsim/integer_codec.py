@@ -58,9 +58,11 @@ def decode_multiset(source: BitSource, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n values encode_multiset wrote, as (increasing distinct values, multiplicities)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    # a slot per run: np.empty leaves the pages of the unused slots untouched
-    values = np.empty(n, dtype=np.int64)
-    starts = np.empty(n + 1, dtype=np.int64)
+    # a slot per run, of which the payload holds at most one per bit;
+    # np.empty leaves the pages of the unused slots untouched
+    slots = min(n, source.bits_remaining)
+    values = np.empty(slots, dtype=np.int64)
+    starts = np.empty(slots + 1, dtype=np.int64)
     runs = filled = x = 0
     while filled < n:
         if runs and not source.read_bit():

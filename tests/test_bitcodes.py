@@ -25,19 +25,20 @@ from dsim.bitcodes import (
     shifted_gamma_length,
     write_container,
 )
+from oracles import from_bitstring, to_bitstring
 
 
 def encode_to_bitstring(z: int) -> str:
     sink = BitSink()
     gamma_encode(z, sink)
-    return sink.to_bitstring()
+    return to_bitstring(sink)
 
 
 class TestBitSink:
     def test_msb_first_layout(self):
         sink = BitSink()
         sink.write_bits(0b10110, 5)
-        assert sink.to_bitstring() == "10110"
+        assert to_bitstring(sink) == "10110"
         assert sink.to_bytes() == bytes([0b10110000])
         assert sink.bit_length == 5
 
@@ -58,7 +59,7 @@ class TestBitSink:
         sink = BitSink()
         for b in (1, 0, 1, 1, 0, 0, 1, 0, 1):
             sink.write_bit(b)
-        assert sink.to_bitstring() == "101100101"
+        assert to_bitstring(sink) == "101100101"
         assert sink.to_bytes() == bytes([0b10110010, 0b10000000])
 
 
@@ -94,7 +95,7 @@ class TestBitSource:
             BitSource(b"\x00", bit_length=9)
 
     def test_from_bitstring(self):
-        src = BitSource.from_bitstring("0110")
+        src = from_bitstring("0110")
         assert src.read_bits(4) == 0b0110
 
 
@@ -114,8 +115,8 @@ class TestGammaCode:
         assert gamma_length(7039) == 25
 
     def test_decode_known(self):
-        assert gamma_decode(BitSource.from_bitstring("0001010")) == 10
-        assert gamma_decode(BitSource.from_bitstring("1")) == 1
+        assert gamma_decode(from_bitstring("0001010")) == 10
+        assert gamma_decode(from_bitstring("1")) == 1
 
     def test_round_trip_exhaustive_16bit(self):
         sink = BitSink()
@@ -148,7 +149,7 @@ class TestGammaCode:
 
     def test_truncated_codeword(self):
         with pytest.raises(TruncatedStreamError):
-            gamma_decode(BitSource.from_bitstring("0001"))
+            gamma_decode(from_bitstring("0001"))
 
     def test_corrupt_prefix(self):
         with pytest.raises(FormatError):

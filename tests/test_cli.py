@@ -284,31 +284,63 @@ class TestConsoleScript:
         assert header.n == 20
 
 
-# Prints the analysis-stack modules (scipy.stats, scipy.integrate) loaded by a
-# fresh `import dsim`, then those loaded after one encode and one decode
-# through main.
+# Prints the scipy modules loaded by a fresh `import dsim`, then those loaded
+# after one encode and one decode through main.
 BOUNDARY_PROBE = """
 import json, sys
-def analysis():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate")))
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 import dsim
-loaded = [analysis()]
+loaded = [scipy_modules()]
 from dsim.cli import main
 spec, blob, csv = sys.argv[1:]
 assert main(["encode", "--dist", spec, "-n", "200", "--seed", "1", "-o", blob]) == 0
 assert main(["decode", blob, "--seed", "2", "-o", csv]) == 0
-loaded.append(analysis())
+loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
 
+# Round-trips each law through main while sys.meta_path refuses every scipy
+# import, then checks that the refusal is in force.
+NO_SCIPY_PROBE = """
+import sys
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is refused")
+        return None
+sys.meta_path.insert(0, RefuseScipy())
+from dsim.cli import main
+stem, *specs = sys.argv[1:]
+for spec in specs:
+    assert main(["encode", "--dist", spec, "-n", "200", "--seed", "1", "-o", stem + ".dsim"]) == 0
+    assert main(["decode", stem + ".dsim", "--seed", "2", "-o", stem + ".csv"]) == 0
+    assert len(open(stem + ".csv").read().splitlines()) == 201
+try:
+    import scipy.special
+except ModuleNotFoundError:
+    print("refused")
+"""
+
+CODEC_SPECS = ["geometric:p=0.7", "zipf:s=3", "triangular", "exp:lambda=1"]
+
 
 class TestImportBoundary:
-    @pytest.mark.parametrize("spec", ["geometric:p=0.7", "triangular", "exp:lambda=1"])
-    def test_codec_path_loads_no_analysis_stack(self, spec, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(Path(dsim.__file__).parents[1])}
+    @pytest.fixture
+    def env(self):
+        return {**os.environ, "PYTHONPATH": str(Path(dsim.__file__).parents[1])}
+
+    @pytest.mark.parametrize("spec", CODEC_SPECS)
+    def test_codec_path_loads_no_analysis_stack(self, spec, tmp_path, env):
         proc = subprocess.run(
             [sys.executable, "-c", BOUNDARY_PROBE, spec, str(tmp_path / "x.dsim"), str(tmp_path / "x.csv")],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
         assert len((tmp_path / "x.csv").read_text().splitlines()) == 201
+
+    def test_codec_path_runs_where_scipy_is_refused(self, tmp_path, env):
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path / "x"), *CODEC_SPECS],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "refused"

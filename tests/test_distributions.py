@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.stats
 from scipy.integrate import quad
+from scipy.special import zeta
 
 from dsim.distributions import (
     TailParams,
+    _hurwitz_zeta,
     builtin,
     exponential,
     geometric,
@@ -120,6 +122,60 @@ class TestZipf:
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
             zipf(2.0)
+
+    def test_draws_past_the_table_match_scipy_zeta(self):
+        # the sampler as it stood on scipy.special.zeta, kept as the reference
+        def reference_sample(s, gen, size):
+            z_full = float(zeta(s, 1.0))
+            table = 1.0 - zeta(s, np.arange(2, 4098, dtype=float)) / z_full
+            u = gen.random(size)
+            idx = np.searchsorted(table, u, side="left")
+            out = idx.astype(np.int64) + 1
+            for j in np.flatnonzero(idx == table.size):
+                target = (1.0 - u[j]) * z_full
+                lo, hi = table.size + 1, 2 * (table.size + 1)
+                while zeta(s, hi + 1.0) > target:
+                    lo, hi = hi + 1, 2 * hi
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if zeta(s, mid + 1.0) <= target:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                out[j] = lo
+            return out
+
+        got = zipf(2.05).sample(RandomSource.from_seed(7), 50_000)
+        want = reference_sample(2.05, RandomSource.from_seed(7).gen, 50_000)
+        assert (got > 4097).sum() >= 3  # the bisection ran
+        assert np.array_equal(got, want)
+
+
+class TestHurwitzZeta:
+    """The Cephes port is scipy.special.zeta bit for bit, not approximately."""
+
+    @pytest.mark.parametrize("s", [2.2, 3.0, 7.0, 50.0])
+    def test_zipf_table_matches_scipy(self, s):
+        qs = np.arange(1, 4098, dtype=float)
+        assert [_hurwitz_zeta(s, q) for q in qs.tolist()] == zeta(s, qs).tolist()
+
+    def test_random_pairs_match_scipy(self):
+        gen = np.random.default_rng(20261018)
+        ss = gen.uniform(2.0, 30.0, 10_000)
+        qs = np.floor(2.0 ** gen.uniform(0.0, 62.0, 10_000))
+        qs[::7] += gen.random(qs[::7].size)  # fractional q as well
+        assert (qs > 1e8).sum() > 1000  # the asymptotic branch
+        assert [_hurwitz_zeta(s, q) for s, q in zip(ss.tolist(), qs.tolist())] == zeta(ss, qs).tolist()
+
+    def test_zipf_tail_is_the_zeta_ratio(self):
+        xs = np.array([0.0, 1.0, 2.5, 4096.0, 1e7, 1e9, 2.0**62])
+        want = zeta(3.0, np.floor(xs) + 1.0) / float(zeta(3.0, 1.0))
+        assert zipf(3.0).tail(xs).tolist() == want.tolist()
+
+    def test_domain(self):
+        for x, q in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.0), (3.0, -1.5)):
+            with pytest.raises(ValueError):
+                _hurwitz_zeta(x, q)
 
 
 class TestTriangular:

@@ -28,7 +28,6 @@ from dsim.dyadic_codec import (
     collect_triples,
     decode_triples,
     desimulate,
-    locate,
     locate_batch,
     points_from_triples,
     rect_area,
@@ -38,6 +37,7 @@ from dsim.dyadic_codec import (
 )
 from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
+from oracles import from_bitstring, locate
 
 TRI = triangular()
 # A steep law puts about 3% of its hypograph points beyond depth MAX_DEPTH, so
@@ -295,7 +295,7 @@ class TestTripleCodec:
         assert all(Fraction(a, 2 ** (k - 1)) <= Fraction(p) < Fraction(2 * a + 1, 2**k) for p in pts.tolist())
 
     def test_decode_of_zero_points_reads_no_bit(self):
-        src = BitSource.from_bitstring("1")
+        src = from_bitstring("1")
         assert decode_triples(src, 0) == []
         assert src.bits_remaining == 1
         with pytest.raises(ValueError):

@@ -1,10 +1,16 @@
 """Multiset codec and the integer sampling scheme."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsim
 from dsim.bitcodes import (
     MAX_VALUE,
     BitSink,
@@ -16,14 +22,15 @@ from dsim.bitcodes import (
 from dsim.distributions import geometric, zipf
 from dsim.integer_codec import decode_multiset, desimulate, encode_multiset, simulate
 from dsim.rng import RandomSource
+from oracles import from_bitstring, to_bitstring
 
 
 def encode_to_bitstring(values) -> str:
-    return encode_multiset(values).to_bitstring()
+    return to_bitstring(encode_multiset(values))
 
 
 def decode_bitstring(s: str, n: int) -> list[int]:
-    return np.repeat(*decode_multiset(BitSource.from_bitstring(s), n)).tolist()
+    return np.repeat(*decode_multiset(from_bitstring(s), n)).tolist()
 
 
 class TestKnownCodewords:
@@ -48,7 +55,7 @@ class TestKnownCodewords:
         assert decode_bitstring("1111010", 3) == [1, 2, 4]
 
     def test_decode_returns_runs(self):
-        values, counts = decode_multiset(BitSource.from_bitstring("010011011"), 3)
+        values, counts = decode_multiset(from_bitstring("010011011"), 3)
         assert values.tolist() == [2, 5] and counts.tolist() == [2, 1]
         assert values.dtype == counts.dtype == np.int64
 
@@ -120,7 +127,7 @@ class TestValidation:
             encode_multiset([MAX_VALUE + 1])
 
     def test_decode_of_zero_values_reads_no_bit(self):
-        src = BitSource.from_bitstring("1")
+        src = from_bitstring("1")
         values, counts = decode_multiset(src, 0)
         assert values.size == counts.size == 0
         assert values.dtype == counts.dtype == np.int64
@@ -136,6 +143,38 @@ class TestValidation:
         # gamma(1) then "0" + gamma(3): run of 3 zeros after 1 value, n = 2
         with pytest.raises(FormatError):
             decode_bitstring("10011", 2)
+
+
+# Decodes int and halfline containers whose header declares far more values
+# than the payload could hold, under a 1 GiB cap on the process's address
+# space, and prints the name of the exception each one raises.
+DECLARED_COUNT_PROBE = """
+import resource
+from dsim import halfline_codec, integer_codec
+from dsim.bitcodes import SCHEME_HALFLINE, SCHEME_INTEGER, BitSink, write_container
+from dsim.rng import RandomSource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+one_bit = BitSink()
+one_bit.write_bit(1)
+for codec, scheme in ((integer_codec, SCHEME_INTEGER), (halfline_codec, SCHEME_HALFLINE)):
+    for n in (2**28, 2**40, 2**64 - 1):
+        for payload in (BitSink(), one_bit):
+            try:
+                codec.desimulate(write_container(scheme, n, payload), RandomSource.from_seed(1))
+            except Exception as exc:
+                print(type(exc).__name__)
+"""
+
+
+class TestDeclaredCount:
+    def test_payload_bounds_the_run_buffers(self):
+        # every run of the multiset costs at least one bit, so the decoder
+        # sizes nothing by a declared count that its payload cannot hold
+        env = {**os.environ, "PYTHONPATH": str(Path(dsim.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", DECLARED_COUNT_PROBE],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["TruncatedStreamError"] * 12
 
 
 class TestScheme:
