@@ -213,7 +213,8 @@ def zipf(s: float) -> IntegerDistribution:
     s = float(s)
     if not 2.0 < s < math.inf:
         raise ValueError("zipf needs a finite s > 2 so that a power certificate with lambda > 1 exists")
-    z_full = _hurwitz_zeta(s, 1.0)
+    zetas = np.array([_hurwitz_zeta(s, q) for q in np.arange(1.0, 4098.0).tolist()])  # zeta(s, q), q <= 4097
+    z_full = zetas[0]
 
     def pmf(x):
         x = np.asarray(x)
@@ -222,13 +223,16 @@ def zipf(s: float) -> IntegerDistribution:
         return np.where(valid, xf ** -s / z_full, 0.0)
 
     def tail(x):
-        # P(X > x) = zeta(s, floor(x) + 1) / zeta(s)
-        q = np.maximum(np.floor(np.asarray(x, dtype=float)), 0.0) + 1.0
-        return np.array([_hurwitz_zeta(s, v) for v in q.ravel().tolist()]).reshape(q.shape) / z_full
+        # P(X > x) = zeta(s, q) / zeta(s) with q = floor(x) + 1, looked up in zetas while q <= 4097
+        q = np.maximum(np.floor(np.asarray(x, dtype=float)), 0.0).ravel() + 1.0
+        far = ~(q <= zetas.size)  # NaN among them
+        z = zetas[np.where(far, 1.0, q).astype(np.int64) - 1]
+        z[far] = [_hurwitz_zeta(s, v) for v in q[far].tolist()]
+        return z.reshape(np.shape(x)) / z_full
 
     # Inverse CDF: the smallest x with P(X > x) <= 1 - u.  A table covers all
     # but ~tail(table_size) of the mass; stragglers fall back to bisection.
-    table = 1.0 - np.array([_hurwitz_zeta(s, q) for q in np.arange(2.0, 4098.0).tolist()]) / z_full
+    table = 1.0 - zetas[1:] / z_full
 
     def sampler(rng, size):
         u = rng.gen.random(size)

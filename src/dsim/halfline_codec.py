@@ -3,17 +3,17 @@
 Each draw X lands in the unit bin [i - 1, i) with index i = floor(X) + 1.
 The multiset of bin indices goes through the integer codec, then for every
 occupied bin (ascending) the fractional positions are encoded with the
-dyadic codec against that bin's renormalized density restriction.  The
-fractional parts of the encoder's own draws already have the restricted law
-conditioned on the bin, so they are reused as hypograph x-coordinates and
-only the heights are drawn fresh.
+dyadic codec against that bin's density restriction.  The fractional parts
+of the encoder's own draws already have the restricted law conditioned on
+the bin, so they are reused as hypograph x-coordinates and only the heights
+are drawn fresh.
 
 The encoder works on all bins in one pass: it sorts the draws by bin, draws
-every height at once and locates every point with one locator call, each
-point measured against its own bin's restriction (restrict_to_bin).  Every
-bin is then grouped by collect_triples; only a bin holding a point that no
-rectangle up to MAX_DEPTH catches builds its restricted law and retry source
-to redraw that point.  The bytes are those of one stream per bin in turn.
+every height at once and locates every point with one locator call against
+f shifted into its bin, unnormalised: scaling a bin's density scales its
+heights alike.  Only a bin with a point that no rectangle up to MAX_DEPTH
+catches builds its normalised law (restrict_to_bin), for collect_triples to
+redraw that point.  The bytes are those of one stream per bin in turn.
 
 The decoder never evaluates the density: it reads the integer payload as runs,
 each occupied bin with its count, and within-bin positions come from the
@@ -45,17 +45,11 @@ from .rng import RandomSource
 __all__ = ["restrict_to_bin", "simulate", "desimulate"]
 
 
-def _mass_up_to(f: MonotonePdf, x, shift):
-    """P(shift <= X < x): cdf values while f.cdf(x) <= 1/2, survival values beyond."""
-    head = f.cdf(x)
-    return np.where(head <= 0.5, head - f.cdf(shift), f.tail(shift) - f.tail(x))
-
-
-def _bin_pdf(f: MonotonePdf, x, shift, mass, b=()):
-    """restrict_to_bin(f, i).pdf(x) for the bins that index b picks from the
-    arrays shift (i - 1) and mass.  The picks happen inside the expression,
-    so no copy of them outlives its one operation."""
-    return np.where((x >= 0.0) & (x <= 1.0), f.pdf(x + shift[b]) / mass[b], 0.0)
+def _bin_pdf(f: MonotonePdf, x, shift, b=()):
+    """f(x + shift) on [0, 1] and 0 elsewhere, for the bins that index b picks
+    from the array shift (i - 1).  The pick happens inside the expression, so
+    no copy of it outlives its one operation."""
+    return np.where((x >= 0.0) & (x <= 1.0), f.pdf(x + shift[b]), 0.0)
 
 
 def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
@@ -70,16 +64,21 @@ def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
     if i < 1:
         raise ValueError("bin index must be >= 1")
     shift = float(i - 1)
-    mass = float(_mass_up_to(f, float(i), shift))
+
+    def mass_up_to(x):
+        head = f.cdf(x)
+        return np.where(head <= 0.5, head - f.cdf(shift), f.tail(shift) - f.tail(x))
+
+    mass = float(mass_up_to(float(i)))
     if not mass > 0.0:
         raise ValueError(f"bin {i} carries no probability mass")
 
     def pdf(x):
-        return _bin_pdf(f, x, np.float64(shift), np.float64(mass))
+        return _bin_pdf(f, x, np.float64(shift)) / mass
 
     def cdf(x):
         xc = np.clip(x, 0.0, 1.0)
-        return np.clip(_mass_up_to(f, xc + shift, shift) / mass, 0.0, 1.0)
+        return np.clip(mass_up_to(xc + shift) / mass, 0.0, 1.0)
 
     def cdf_inverse(u):
         # Bisect cdf over the int64 bit patterns of [0, 1), which sort like the
@@ -120,18 +119,14 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     edges = np.append(np.flatnonzero(np.diff(bins, prepend=0)), n)
     uniq = bins[edges[:-1]]
     del bins
-    # per bin, the same shift and mass as restrict_to_bin; per point, its bin
+    # per bin, its left end; per point, its bin
     shift = (uniq - 1).astype(float)
-    mass = _mass_up_to(f, uniq.astype(float), shift)
-    empty = ~(mass > 0.0)
-    if empty.any():
-        raise ValueError(f"bin {uniq[empty][0]} carries no probability mass")
     which = np.repeat(np.arange(uniq.size, dtype=np.int32), np.diff(edges))
 
     def density(x, points):
         if np.ndim(x) == 0:  # a depth-0 corner: one value per bin
-            return _bin_pdf(f, x, shift, mass)[which[points]]
-        return _bin_pdf(f, x, shift, mass, which[points])
+            return _bin_pdf(f, x, shift)[which[points]]
+        return _bin_pdf(f, x, shift, which[points])
 
     xs = values[order]  # each draw's position inside its bin
     del values, order

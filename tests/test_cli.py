@@ -11,9 +11,9 @@ import pytest
 
 import dsim
 from dsim.cli import main
-from dsim.bounds_analysis import thm2_bound
+from dsim.bounds_analysis import thm2_bound, verify_trial
 from dsim.bitcodes import BitSource, read_container
-from dsim.distributions import geometric
+from dsim.distributions import geometric, parse_spec
 from dsim.integer_codec import simulate as int_simulate
 from dsim.rng import RandomSource
 
@@ -96,6 +96,22 @@ class TestEncodeDecode:
         code, _, err = run(["encode", "--dist", "nosuch:p=1",
                             "-n", "5", "--seed", "1", "-o", str(tmp_path / "x")], capsys)
         assert code == 1 and err.startswith("error:")
+
+    # each draw in its own bin, whose mass is below the ulp of the cdf there
+    @pytest.mark.parametrize("lam", ["1e-15", "1e-16", "1e-17"])
+    def test_slowly_decaying_law_round_trip(self, lam, tmp_path, capsys):
+        blob, csv = tmp_path / "e.dsim", tmp_path / "e.csv"
+        assert run(["encode", "--dist", f"exp:lambda={lam}", "-n", "10000", "--seed", "1",
+                    "-o", str(blob)], capsys)[0] == 0
+        assert run(["decode", str(blob), "--seed", "2", "-o", str(csv)], capsys)[0] == 0
+        lines = csv.read_text().splitlines()
+        values = np.array([float(v) for v in lines[1:]])
+        assert lines[0] == "value" and values.size == 10**4
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+    def test_slowly_decaying_law_decodes_to_its_law(self):
+        name, stat, ok = verify_trial(parse_spec("exp:lambda=1e-17"), 2000, RandomSource.from_seed(17))
+        assert name == "ks" and ok, f"KS={stat:.4f}"
 
     # laws that parse_spec accepts but that overflow, lose all their mass to
     # one point, or draw past 2**63 - 1; a warning counts as a failure here

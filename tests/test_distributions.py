@@ -172,6 +172,16 @@ class TestHurwitzZeta:
         want = zeta(3.0, np.floor(xs) + 1.0) / float(zeta(3.0, 1.0))
         assert zipf(3.0).tail(xs).tolist() == want.tolist()
 
+    @pytest.mark.parametrize("s", [2.2, 3.7])
+    def test_zipf_tail_table_lookup_is_exact(self, s):
+        # the table covers q = floor(x) + 1 <= 4097; every other q, inf and NaN among them, is computed
+        xs = np.concatenate([np.random.default_rng(5).uniform(-5.0, 5000.0, 3000),
+                             [0.0, 1.0, 4096.5, 4097.0, 4098.0, 1e9, np.inf, 1e300, np.nan]])
+        qs = np.maximum(np.floor(xs), 0.0) + 1.0
+        want = np.array([_hurwitz_zeta(s, q) for q in qs.tolist()]) / _hurwitz_zeta(s, 1.0)
+        got = zipf(s).tail(xs)
+        assert np.array_equal(got, want, equal_nan=True) and np.isnan(got[-1])
+
     def test_domain(self):
         for x, q in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.0), (3.0, -1.5)):
             with pytest.raises(ValueError):

@@ -166,12 +166,31 @@ class TestScheme:
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
-    def test_draw_in_a_massless_bin_rejected(self):
-        # past 2**54 both ends of a unit bin round to one double, so its mass is 0
+    def test_law_with_bins_past_2_54_round_trips(self):
+        # past 2**54 both ends of a unit bin round to one double, so a cdf
+        # difference gives the bin no mass; the encoder needs none
         far = MonotonePdf("far", "halfline", lambda x: np.where(x >= 0.0, 2.0**-60, 0.0),
                           lambda x: np.clip(x * 2.0**-60, 0.0, 1.0), lambda u: u * 2.0**60, f0=2.0**-60)
-        with pytest.raises(ValueError, match="no probability mass"):
-            simulate(far, 50, RandomSource.from_seed(1))
+        data = simulate(far, 50, RandomSource.from_seed(1))
+        out = desimulate(data, RandomSource.from_seed(2))
+        assert out.size == 50 and out.max() > 2.0**54
+        assert np.all(np.isfinite(out)) and np.all((out >= 0.0) & (out <= 2.0**60))
+
+    @pytest.mark.parametrize("far, message", [
+        # draws in bin 6, where neither the density nor the cdf has anything
+        (MonotonePdf("outside", "halfline", lambda x: np.where((x >= 0.0) & (x < 1.0), 1.0, 0.0),
+                     lambda x: np.clip(x, 0.0, 1.0), lambda u: u + 5.0, f0=1.0),
+         "bin 6 carries no probability mass"),
+        # the cdf of exp(1) under a density that is 0 everywhere
+        (MonotonePdf("flat zero", "halfline", lambda x: np.zeros_like(x),
+                     lambda x: -np.expm1(-np.maximum(x, 0.0)), lambda u: -np.log1p(-u), f0=0.0),
+         "depth budget still exhausted"),
+    ], ids=["outside", "flat zero"])
+    def test_draw_where_the_density_is_zero_rejected(self, far, message):
+        # a zero height lies in no rectangle, so the points reach the retry path
+        with pytest.raises(ValueError, match=message) as caught:
+            simulate(far, 20, RandomSource.from_seed(1))
+        assert any(entry.name == "collect_triples" for entry in caught.traceback)
 
     def test_output_law_single_seed(self):
         from dsim.bounds_analysis import ks_two_sample
