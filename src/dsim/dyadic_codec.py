@@ -102,33 +102,63 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, density=None):
     x of each point that the index array or slice ``points`` selects, so one
     call locates points lying under different densities, such as the
     half-line scheme's bins.
+
+    Without density, a depth whose left-half points outnumber its grid
+    j * 2**-k (0 <= j <= 2**k + 2) evaluates f.pdf once on that grid and
+    reads each point's two thresholds from it, at j = m + 2 and j = m + 1.
+    For every j below 2**53, j * 2**-k is exactly the double that the
+    direct path builds as (a + 1) * 2**(1-k) or (2a + 1) * 2**-k, so the
+    thresholds, and every decision, are bit-identical.  The grid covers
+    each m of an x in [0, 1], x = 1 included; a point with m off it (x < 0,
+    x > 1, or not a number) takes the direct path.
     """
-    if density is None:
+    tabulate = density is None
+    if tabulate:
         def density(x, points):
             return f.pdf(x)
+
+    def corners(m, points, k):
+        # the density at the right end and at the middle of the cells m (even)
+        a = m >> 1
+        return density((a + 1) * 2.0 ** (1 - k), points), density((2 * a + 1) * 2.0 ** -k, points)
+
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    ks = np.full(xs.size, -1, dtype=np.int64)
-    offs = np.zeros(xs.size, dtype=np.int64)
     every = slice(None)
     hit0 = (ys >= density(2.0, every)) & (ys < density(1.0, every))
-    ks[hit0] = 0
+    ks = np.where(hit0, np.int64(0), np.int64(-1))
+    offs = np.zeros(xs.size, dtype=np.int64)
+    # the points still unplaced; each depth compacts them by index, since a
+    # take through np.flatnonzero is several times faster than a mask gather
     idx = np.flatnonzero(~hit0)
+    del hit0
     for k in range(1, MAX_DEPTH + 1):
         if not idx.size:
             break
-        m = np.ldexp(xs[idx], k).astype(np.int64)
-        left = (m & 1) == 0
-        a = m[left] >> 1
-        scale = 2.0 ** -k
-        points = idx[left]
-        y = ys[points]
-        hit = (y >= density((a + 1) * (2.0 * scale), points)) & (y < density((2 * a + 1) * scale, points))
-        placed = points[hit]
-        left[left] = hit  # now marks the points placed at depth k
+        m = np.ldexp(xs.take(idx), k).astype(np.int64)
+        left = np.flatnonzero((m & 1) == 0)
+        m = m.take(left)
+        points = idx.take(left)
+        top = 1 << k
+        if tabulate and m.size > top + 3:
+            table = f.pdf(np.arange(top + 3) * 2.0 ** -k)
+            lo = table.take(m + 2, mode="clip")
+            hi = table.take(m + 1, mode="clip")
+            # as unsigned, a negative m is above 2**k too
+            off = np.flatnonzero(m.view(np.uint64) > top)
+            if off.size:
+                lo[off], hi[off] = corners(m.take(off), points.take(off), k)
+        else:
+            lo, hi = corners(m, points, k)
+        y = ys.take(points)
+        hit = np.flatnonzero((y >= lo) & (y < hi))
+        del y, lo, hi
+        placed = points.take(hit)
         ks[placed] = k
-        offs[placed] = a[hit]
-        idx = idx[~left]
+        offs[placed] = m.take(hit) >> 1
+        rest = np.ones(idx.size, dtype=bool)
+        rest[left.take(hit)] = False
+        idx = idx.take(np.flatnonzero(rest))
     unresolved = np.zeros(xs.size, dtype=bool)
     unresolved[idx] = True
     return ks, offs, unresolved

@@ -11,6 +11,9 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# numpy 2 imports numpy.random on first use; import it with the package, so
+# that the first RandomSource, often inside timed code, imports nothing
+import numpy.random
 
 __all__ = ["RandomSource"]
 

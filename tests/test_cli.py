@@ -360,3 +360,14 @@ class TestImportBoundary:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "refused"
+
+
+def test_import_loads_numpy_random_and_no_scipy():
+    # numpy 2 imports numpy.random lazily; dsim imports it up front, so the
+    # first RandomSource imports nothing (a caller may gc.freeze() after import)
+    probe = ("import json, sys, dsim; print(json.dumps(['numpy.random' in sys.modules, "
+             "sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(dsim.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, []]

@@ -515,3 +515,80 @@ class TestStepLaws:
         root = RandomSource.from_seed(2027)
         passed = sum(verify_trial(f, 2000, root.child(t))[2] for t in range(20))
         assert passed >= 18, f"only {passed}/20 seeds passed"
+
+
+def unguarded_exponential(rate: float) -> MonotonePdf:
+    """exponential(rate) truncated to [0, 1), its density written as one
+    formula on every x, so that it is positive left of 0 and right of 1."""
+    norm = -math.expm1(-rate)
+    return MonotonePdf(f"exp({rate}) on [0, 1), unguarded", "unit",
+                       lambda x: rate * np.exp(-rate * x) / norm,
+                       lambda x: -np.expm1(-rate * np.clip(x, 0.0, 1.0)) / norm,
+                       lambda u: -np.log1p(-u * norm) / rate, f0=rate / norm)
+
+
+# Laws for the threshold grid: exact arithmetic, densities that are positive
+# off [0, 1], a steep one among them (rate 1024 puts its draws below depth 8),
+# and a tail bin's restriction.
+GRID_LAWS = [TRI, unguarded_exponential(1024.0), unguarded_exponential(6.0),
+             restrict_to_bin(exponential(1.0), 3)]
+# x = 1 sits in cell m = 2**k at every depth, whose thresholds are the grid's
+# last entries; the others lie outside [0, 1] or on a cell edge
+GRID_EDGES = np.array([0.0, 0.5, 1.0 - 2.0**-53, 1.0, -2.0**-60, -0.3, 1.0 + 2.0**-52, 1.7, 3.0])
+
+
+def assert_batch_matches_one_point_calls(f, gen, edges: int, size: int = 500) -> set[int]:
+    """Locate size points of f's hypograph, and edges copies of GRID_EDGES,
+    once together and once a point at a time, and compare.  Returns the
+    depths that read their thresholds from a grid."""
+    xs = f.cdf_inverse(gen.random(size))
+    # heights within 2**-9 to 2**-12 of the density sit at depth 9 or more
+    # where f is smooth, so depths 1 to 7 keep more left-half points than
+    # their grid has entries.  An eighth of the heights are uniform, and an
+    # eighth equal f at the right end of the point's cell at a depth up to
+    # 7, a threshold that any rounding of the grid would move.
+    ys = f.pdf(xs) * (1.0 - gen.random(xs.size) * np.ldexp(1.0, -gen.integers(9, 13, xs.size)))
+    ys[::8] *= gen.random(ys[::8].size)
+    k = gen.integers(1, 8, ys[1::8].size)
+    ys[1::8] = f.pdf(np.ldexp(np.floor(np.ldexp(xs[1::8], k)) + 2.0, -k))
+    # the edge points get uniform heights under f, or under f0 where f is 0,
+    # scaled by up to 2**-3 so that some pass depth 0 at x = 3
+    edge_xs = np.repeat(GRID_EDGES, edges)
+    edge_ys = gen.random(edge_xs.size) * np.where(f.pdf(edge_xs) > 0.0, f.pdf(edge_xs), f.f0)
+    edge_ys = np.ldexp(edge_ys, -gen.integers(0, 4, edge_ys.size))
+    xs = np.concatenate([xs, edge_xs])
+    ys = np.concatenate([ys, edge_ys])
+    sizes = []
+    counted = MonotonePdf(f.name, "unit", lambda x: sizes.append(np.size(x)) or f.pdf(x),
+                          f.cdf, f.cdf_inverse, f0=f.f0)
+    # x * 2**k overflows int64 for x > 2 at deep k, in either path, and the
+    # steep law then overflows at the corners of the cell m = -2**63
+    with np.errstate(invalid="ignore", over="ignore"):
+        batch = locate_batch(xs, ys, counted)
+        for i in range(xs.size):
+            one = locate_batch(xs[i:i + 1], ys[i:i + 1], f)
+            assert tuple(int(v[i]) for v in batch) == tuple(int(v[0]) for v in one), (xs[i], ys[i])
+    return {k for k in range(1, MAX_DEPTH + 1) if 2**k + 3 in sizes}
+
+
+class TestThresholdGrid:
+    """A batch reads the thresholds of its shallow depths from a grid of f.pdf
+    values; a one-point batch evaluates f.pdf at the point's own corners."""
+
+    @pytest.mark.parametrize("f", GRID_LAWS, ids=lambda f: f.name)
+    @given(seed=st.integers(0, 2**32), edges=st.integers(1, 4))
+    @settings(max_examples=3, deadline=None)
+    def test_batch_matches_one_point_calls(self, f, seed, edges):
+        tabulated = assert_batch_matches_one_point_calls(f, RandomSource.from_seed(seed).gen, edges)
+        assert set(range(1, 8)) <= tabulated
+
+    @given(f=ANY_STEP_LAW, seed=st.integers(0, 2**32), edges=st.integers(1, 4))
+    @settings(max_examples=3, deadline=None)
+    @example(f=STEP_CASES[0], seed=1, edges=1)
+    @example(f=STEP_CASES[2], seed=1, edges=1)
+    def test_step_laws(self, f, seed, edges):
+        # flat stretches place points near the surface early, so only the
+        # first few depths take the grid, and fewer points serve them
+        gen = RandomSource.from_seed(seed).gen
+        for g, _ in unit_pieces(f):
+            assert_batch_matches_one_point_calls(g, gen, edges, size=200)

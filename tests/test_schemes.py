@@ -1,8 +1,9 @@
 """Properties shared by the three schemes: pinned container bytes, the
-check every codec makes on the kind of handle it is given, the empty
-stream, and decoding of corrupted payloads."""
+encoders' memory at n = 10**6, the check every codec makes on the kind of
+handle it is given, the empty stream, and decoding of corrupted payloads."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,38 @@ def test_density_sweep_is_pinned():
                 h.update(data)
                 h.update(desimulate_any(data, root.child("decode")).tobytes())
     assert h.hexdigest() == SWEEP_SHA
+
+
+# one sha256 over the unit and half-line containers of the density laws at
+# n = 10**6, where the locator reads the thresholds of depths 1 to about 9
+# from a grid of density values; the sweep above reaches about depth 7.
+# Recorded like the pins above.
+MILLION_SHA = "7bc77717ff97ee262579d3da10de0f0a946dccf77cfd64c0344634399d52d275"
+
+
+def test_containers_at_a_million_are_pinned():
+    h = hashlib.sha256()
+    for dist, seed in [(triangular(), 16), (pareto_flat(2.0, 2.0), 17)]:
+        h.update(simulate_any(dist, 10**6, RandomSource.from_seed(seed).child("encode")))
+    assert h.hexdigest() == MILLION_SHA
+
+
+# The tracemalloc peak of one encode at n = 10**6 may grow by at most 10% over
+# 83.4 MiB (unit) and 52.6 MiB (half-line), read on numpy 2.4.6 before the
+# locator compacted its points by index.  Per-bin density tables in the
+# half-line locator, for one, peaked at 112.5 MiB.
+@pytest.mark.parametrize("codec, dist, mib", [
+    (dyadic_codec, triangular(), 83.4),
+    (halfline_codec, pareto_flat(2.0, 2.0), 52.6),
+], ids=["unit", "halfline"])
+def test_encode_memory_at_a_million(codec, dist, mib):
+    tracemalloc.start()
+    try:
+        codec.simulate(dist, 10**6, RandomSource.from_seed(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("codec, dist", [
