@@ -19,7 +19,8 @@ from scipy.stats import binom as _binom
 from scipy.stats import chi2 as _chi2
 
 from . import desimulate_any, dyadic_codec, simulate_any
-from .bitcodes import SCHEME_UNIT, gamma_length, read_container, read_header, shifted_gamma_length
+from .bitcodes import (SCHEME_UNIT, FormatError, gamma_length, read_container, read_header,
+                       shifted_gamma_length)
 from .distributions import IntegerDistribution, MonotonePdf
 from .dyadic_codec import rect_area
 from .rng import RandomSource
@@ -167,6 +168,8 @@ def truncated_payload_bits(data: bytes, k_max: int = 8) -> int:
     for k, a, count in dyadic_codec.decode_triples(source, header.n):
         if k <= k_max:
             kept += shifted_gamma_length(k) + shifted_gamma_length(a) + gamma_length(count)
+    if source.bits_remaining:
+        raise FormatError(f"{source.bits_remaining} unread payload bits after the triples")
     return kept
 
 

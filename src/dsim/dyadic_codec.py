@@ -93,75 +93,67 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, density=None):
     """Rectangles R(k, a) holding hypograph points: (ks, offsets, unresolved_mask).
 
     Points that no rectangle up to MAX_DEPTH catches are flagged in the mask
-    rather than raising, so callers can resample just those.  Each depth
-    visits only the points still unplaced: m = floor(x * 2**k) is exact for
-    x in [0, 1) and k <= MAX_DEPTH, its low bit is clear exactly when x lies
-    in the left half of a depth-k cell, and m >> 1 is that cell's offset.
+    rather than raising, so callers can resample just those; flagged before
+    any depth are those that no rectangle holds: x outside [0, 1), not a
+    number, or y below f(2).  Each depth visits only the points still
+    unplaced: m = floor(x * 2**k) is exact for x in [0, 1) and k <= MAX_DEPTH,
+    its low bit is clear exactly when x lies in the left half of a depth-k
+    cell, and a = m >> 1 is that cell's offset.
+
+    The rectangles along the vertical line through a point are stacked, so
+    each depth compares y with one threshold, f at the cell's middle.  The
+    lower edge of R(k, a), f at the cell's right end (a + 1) * 2**(1-k), is
+    f at the middle of the point's cell at the last earlier depth where it
+    lay in a left half, or f(1) if there is none.  Both x values are an
+    integer rounded to a double and scaled by a power of two, and rounding
+    commutes with that scaling, so they are the same double even above
+    2**53, and a point not placed there has y at or above it.
 
     density(x, points), when given, replaces f.pdf(x): it is the density at
     x of each point that the index array or slice ``points`` selects, so one
     call locates points lying under different densities, such as the
-    half-line scheme's bins.
-
-    Without density, a depth whose left-half points outnumber its grid
-    j * 2**-k (0 <= j <= 2**k + 2) evaluates f.pdf once on that grid and
-    reads each point's two thresholds from it, at j = m + 2 and j = m + 1.
-    For every j below 2**53, j * 2**-k is exactly the double that the
-    direct path builds as (a + 1) * 2**(1-k) or (2a + 1) * 2**-k, so the
-    thresholds, and every decision, are bit-identical.  The grid covers
-    each m of an x in [0, 1], x = 1 included; a point with m off it (x < 0,
-    x > 1, or not a number) takes the direct path.
+    half-line scheme's bins.  Without it, a depth whose left-half points
+    outnumber its 2**(k-1) cells evaluates f.pdf once on their middles and
+    reads each point's threshold with take(a): the same doubles that the
+    direct path evaluates, so every decision is the same.
     """
     tabulate = density is None
     if tabulate:
         def density(x, points):
             return f.pdf(x)
 
-    def corners(m, points, k):
-        # the density at the right end and at the middle of the cells m (even)
-        a = m >> 1
-        return density((a + 1) * 2.0 ** (1 - k), points), density((2 * a + 1) * 2.0 ** -k, points)
-
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     every = slice(None)
-    hit0 = (ys >= density(2.0, every)) & (ys < density(1.0, every))
-    ks = np.where(hit0, np.int64(0), np.int64(-1))
+    floor = density(2.0, every)
+    ks = np.where((ys >= floor) & (ys < density(1.0, every)), np.int64(0), np.int64(-1))
     offs = np.zeros(xs.size, dtype=np.int64)
-    # the points still unplaced; each depth compacts them by index, since a
-    # take through np.flatnonzero is several times faster than a mask gather
-    idx = np.flatnonzero(~hit0)
-    del hit0
+    # the points still unplaced that some rectangle may hold; each depth
+    # compacts them by index, since a take through np.flatnonzero is several
+    # times faster than a mask gather
+    idx = np.flatnonzero((ks < 0) & (ys >= floor) & (xs >= 0.0) & (xs < 1.0))
     for k in range(1, MAX_DEPTH + 1):
         if not idx.size:
             break
         m = np.ldexp(xs.take(idx), k).astype(np.int64)
         left = np.flatnonzero((m & 1) == 0)
-        m = m.take(left)
+        a = m.take(left) >> 1
+        del m
         points = idx.take(left)
-        top = 1 << k
-        if tabulate and m.size > top + 3:
-            table = f.pdf(np.arange(top + 3) * 2.0 ** -k)
-            lo = table.take(m + 2, mode="clip")
-            hi = table.take(m + 1, mode="clip")
-            # as unsigned, a negative m is above 2**k too
-            off = np.flatnonzero(m.view(np.uint64) > top)
-            if off.size:
-                lo[off], hi[off] = corners(m.take(off), points.take(off), k)
+        cells = 1 << (k - 1)
+        if tabulate and a.size > cells:
+            hi = f.pdf((2 * np.arange(cells) + 1) * 2.0 ** -k).take(a)
         else:
-            lo, hi = corners(m, points, k)
-        y = ys.take(points)
-        hit = np.flatnonzero((y >= lo) & (y < hi))
-        del y, lo, hi
+            hi = density((2 * a + 1) * 2.0 ** -k, points)
+        hit = np.flatnonzero(ys.take(points) < hi)
+        del hi
         placed = points.take(hit)
         ks[placed] = k
-        offs[placed] = m.take(hit) >> 1
+        offs[placed] = a.take(hit)
         rest = np.ones(idx.size, dtype=bool)
         rest[left.take(hit)] = False
         idx = idx.take(np.flatnonzero(rest))
-    unresolved = np.zeros(xs.size, dtype=bool)
-    unresolved[idx] = True
-    return ks, offs, unresolved
+    return ks, offs, ks < 0
 
 
 def _hypograph_draw(f, gen, size: int):

@@ -25,9 +25,11 @@ from dsim.bounds_analysis import (
     truncated_payload_bits,
     verify_trial,
 )
-from dsim.bitcodes import gamma_length, read_container, shifted_gamma_length
+from dsim.bitcodes import (SCHEME_UNIT, BitSink, FormatError, gamma_length, read_container,
+                           shifted_gamma_length, write_container)
 from dsim.distributions import MonotonePdf, exponential, geometric, pareto_flat, triangular, zipf
-from dsim.dyadic_codec import decode_triples, rect_area, simulate as unit_simulate
+from dsim.dyadic_codec import decode_triples, rect_area
+from dsim.dyadic_codec import desimulate as unit_desimulate, simulate as unit_simulate
 from dsim.rng import RandomSource
 
 
@@ -168,6 +170,18 @@ class TestTruncatedPayload:
         data = int_simulate(geometric(0.5), 10, RandomSource.from_seed(1))[0]
         with pytest.raises(ValueError):
             truncated_payload_bits(data)
+
+    def test_rejects_unread_payload_bits(self):
+        # the unit decoder rejects the same container
+        header, source = read_container(unit_simulate(triangular(), 50, RandomSource.from_seed(12)))
+        sink = BitSink()
+        sink.write_bits(source.read_bits(header.payload_bits), header.payload_bits)
+        sink.write_bits(0b101, 3)
+        data = write_container(SCHEME_UNIT, header.n, sink)
+        with pytest.raises(FormatError, match="3 unread payload bits"):
+            truncated_payload_bits(data)
+        with pytest.raises(FormatError, match="3 unread payload bits"):
+            unit_desimulate(data, RandomSource.from_seed(13))
 
     def test_rejects_negative_depth_cut(self):
         data = unit_simulate(triangular(), 50, RandomSource.from_seed(11))

@@ -39,6 +39,9 @@ from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
 from oracles import from_bitstring, locate
 
+# no input to a locator or codec call here may overflow a cast or a density
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TRI = triangular()
 # A steep law puts about 3% of its hypograph points beyond depth MAX_DEPTH, so
 # every stream of a few thousand draws goes through the resampling path.
@@ -532,8 +535,8 @@ def unguarded_exponential(rate: float) -> MonotonePdf:
 # and a tail bin's restriction.
 GRID_LAWS = [TRI, unguarded_exponential(1024.0), unguarded_exponential(6.0),
              restrict_to_bin(exponential(1.0), 3)]
-# x = 1 sits in cell m = 2**k at every depth, whose thresholds are the grid's
-# last entries; the others lie outside [0, 1] or on a cell edge
+# points on a cell edge, and points with x = 1 or outside [0, 1], which lie in
+# no rectangle and are flagged before the first depth
 GRID_EDGES = np.array([0.0, 0.5, 1.0 - 2.0**-53, 1.0, -2.0**-60, -0.3, 1.0 + 2.0**-52, 1.7, 3.0])
 
 
@@ -558,22 +561,26 @@ def assert_batch_matches_one_point_calls(f, gen, edges: int, size: int = 500) ->
     edge_ys = np.ldexp(edge_ys, -gen.integers(0, 4, edge_ys.size))
     xs = np.concatenate([xs, edge_xs])
     ys = np.concatenate([ys, edge_ys])
-    sizes = []
-    counted = MonotonePdf(f.name, "unit", lambda x: sizes.append(np.size(x)) or f.pdf(x),
+    calls = []
+    counted = MonotonePdf(f.name, "unit", lambda x: calls.append(np.copy(x)) or f.pdf(x),
                           f.cdf, f.cdf_inverse, f0=f.f0)
-    # x * 2**k overflows int64 for x > 2 at deep k, in either path, and the
-    # steep law then overflows at the corners of the cell m = -2**63
-    with np.errstate(invalid="ignore", over="ignore"):
-        batch = locate_batch(xs, ys, counted)
-        for i in range(xs.size):
-            one = locate_batch(xs[i:i + 1], ys[i:i + 1], f)
-            assert tuple(int(v[i]) for v in batch) == tuple(int(v[0]) for v in one), (xs[i], ys[i])
-    return {k for k in range(1, MAX_DEPTH + 1) if 2**k + 3 in sizes}
+    batch = locate_batch(xs, ys, counted)
+    for i in range(xs.size):
+        one = locate_batch(xs[i:i + 1], ys[i:i + 1], f)
+        assert tuple(int(v[i]) for v in batch) == tuple(int(v[0]) for v in one), (xs[i], ys[i])
+    # the depth-k grid is the middles (2j + 1) * 2**-k of the 2**(k-1) cells;
+    # its size alone would not tell it from a direct call on as many points
+    grids = set()
+    for x in calls:
+        k = np.size(x).bit_length()
+        if k and np.array_equal(x, (2 * np.arange(2 ** (k - 1)) + 1) * 2.0**-k):
+            grids.add(k)
+    return grids
 
 
 class TestThresholdGrid:
     """A batch reads the thresholds of its shallow depths from a grid of f.pdf
-    values; a one-point batch evaluates f.pdf at the point's own corners."""
+    values; a one-point batch evaluates f.pdf at the middle of its own cell."""
 
     @pytest.mark.parametrize("f", GRID_LAWS, ids=lambda f: f.name)
     @given(seed=st.integers(0, 2**32), edges=st.integers(1, 4))
@@ -592,3 +599,70 @@ class TestThresholdGrid:
         gen = RandomSource.from_seed(seed).gen
         for g, _ in unit_pieces(f):
             assert_batch_matches_one_point_calls(g, gen, edges, size=200)
+
+
+# Laws for the stacked thresholds: the second puts its draws in a tail bin, and
+# the third is positive only below x ~ 2**-10.5, where depths pass 53.
+STACK_LAWS = [TRI, restrict_to_bin(exponential(1.0), 3), restrict_to_bin(exponential(2.0**20), 1)]
+# any x in [0, 1); one in [0.5, 1), which lies in a left half at every depth
+# past 53; or a tiny one, whose cell offsets pass 2**53 there
+UNIT_XS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.5, 1.0, exclude_max=True),
+                    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-60, -2)))
+
+
+def left_depths(x: float) -> list[int]:
+    """The depths k <= MAX_DEPTH at which x lies in the left half of its cell."""
+    return [k for k in range(1, MAX_DEPTH + 1) if int(math.ldexp(x, k)) % 2 == 0]
+
+
+def edge_heights(f, x: float, k: int) -> list[tuple[float, float]]:
+    """Points (x, y) on the edges of x's rectangle at a depth k where x lies in
+    a left half: y is f at the cell's right end or at its middle, or one double
+    below either, kept if it lies in [0, f(x))."""
+    a = int(math.ldexp(x, k)) >> 1
+    top = float(f.pdf(x))
+    points = []
+    for edge in ((a + 1) * 2.0 ** (1 - k), (2 * a + 1) * 2.0**-k):
+        y = float(f.pdf(edge))
+        points += [(x, h) for h in (y, math.nextafter(y, -math.inf)) if 0.0 <= h < top]
+    return points
+
+
+def assert_oracle_batched_and_alone(f, points):
+    xs, ys = np.array(points, dtype=float).reshape(-1, 2).T
+    assert_batch_matches_scalar(xs, ys, f)
+    for i in range(xs.size):
+        assert_batch_matches_scalar(xs[i:i + 1], ys[i:i + 1], f)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A law on [0, 1) and up to 24 points on edges of their rectangles."""
+    f = draw(st.one_of(st.sampled_from(STACK_LAWS),
+                       ANY_STEP_LAW.flatmap(lambda law: st.sampled_from([g for g, _ in unit_pieces(law)]))))
+    points = []
+    for x in draw(st.lists(UNIT_XS, min_size=1, max_size=6)):
+        points += edge_heights(f, x, draw(st.sampled_from(left_depths(x))))
+    return f, points
+
+
+class TestStackedThresholds:
+    """Each depth compares a point's height with f at the middle of its cell
+    alone; the oracle tests both edges of its rectangle.  Heights on, and one
+    double below, either edge agree, down to depth 62, where a + 1 and
+    2a + 1 round to a double."""
+
+    @given(case=stacked_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_heights_match_the_oracle(self, case):
+        assert_oracle_batched_and_alone(*case)
+
+    @pytest.mark.parametrize("f", STACK_LAWS, ids=lambda f: f.name)
+    def test_depths_past_53(self, f):
+        points = []
+        for x in [1.0 - 2.0**-53, 0.5, 0.75 + 2.0**-52, 2.0**-12 * (1.0 + 2.0**-52), 2.0**-30 / 3.0]:
+            for k in left_depths(x):
+                if k > 53:
+                    points += edge_heights(f, x, k)
+        assert len(points) > 20
+        assert_oracle_batched_and_alone(f, points)

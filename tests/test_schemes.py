@@ -1,6 +1,7 @@
 """Properties shared by the three schemes: pinned container bytes, the
-encoders' memory at n = 10**6, the check every codec makes on the kind of
-handle it is given, the empty stream, and decoding of corrupted payloads."""
+encoders' memory at n = 10**6, the checks every codec makes on the kind of
+handle it is given and on the scheme of the container it decodes, the empty
+stream, and decoding of corrupted payloads."""
 
 import hashlib
 import tracemalloc
@@ -138,6 +139,19 @@ def test_empty_stream_carries_no_payload(codec, scheme, dist):
     sink.write_bits(0b1011, 4)  # leftover bits are rejected at n = 0 as at n >= 1
     with pytest.raises(FormatError, match="unread payload bits"):
         codec.desimulate(write_container(scheme, 0, sink), RandomSource.from_seed(1))
+
+
+CODEC_LAWS = [(integer_codec, geometric(0.7)), (dyadic_codec, triangular()),
+              (halfline_codec, exponential(1.0))]
+
+
+@pytest.mark.parametrize("codec, law", [(codec, law) for codec, _ in CODEC_LAWS
+                                        for other, law in CODEC_LAWS if other is not codec],
+                         ids=lambda v: getattr(v, "__name__", None) or v.support)
+def test_codecs_reject_containers_of_the_other_schemes(codec, law):
+    data = simulate_any(law, 100, RandomSource.from_seed(3))
+    with pytest.raises(FormatError):
+        codec.desimulate(data, RandomSource.from_seed(4))
 
 
 # the payload bits and n of one valid stream per built-in law, to corrupt below
