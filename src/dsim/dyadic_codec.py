@@ -3,12 +3,13 @@
 The region under the density (its hypograph) is tiled, up to measure zero,
 by half-open rectangles indexed by a depth k >= 0 and an offset a.  R(k, a)
 spans x in [2**(1-k) * a, 2**-k * (2a + 1)) and y in
-[f(2**(1-k) * (a + 1)), f(2**-k * (2a + 1))); at depth k the admissible
-offsets are 0 <= a <= max(2**(k-1) - 1, 0).  Crucially the x-interval of a
-rectangle is determined by (k, a) alone, so a decoder that knows only the
-indices can regenerate points with the correct law: a uniform point of the
-hypograph projects to an f-distributed x, and conditioned on its rectangle
-the x-coordinate is uniform on that rectangle's x-interval.
+[f(2**(1-k) * (a + 1)), f(2**-k * (2a + 1))), or [0, f(1)) for R(0, 0), as
+the law has no mass past 1; at depth k the admissible offsets are
+0 <= a <= max(2**(k-1) - 1, 0).  Crucially the x-interval of a rectangle is
+determined by (k, a) alone, so a decoder that knows only the indices can
+regenerate points with the correct law: a uniform point of the hypograph
+projects to an f-distributed x, and conditioned on its rectangle the
+x-coordinate is uniform on that rectangle's x-interval.
 
 The codeword lists the occupied rectangles in lexicographic (k, a) order,
 which is the order of their heap nodes 2**(k-1) + a (node 0 for k = 0), each
@@ -79,7 +80,7 @@ def rect_bounds(k: int, a: int, f) -> tuple[float, float, float, float]:
     _check_index(k, a)
     x_lo = a * 2.0 ** (1 - k)
     x_hi = (2 * a + 1) * 2.0 ** -k
-    y_lo = f.pdf((a + 1) * 2.0 ** (1 - k))
+    y_lo = f.pdf((a + 1) * 2.0 ** (1 - k)) if k else 0.0
     y_hi = f.pdf((2 * a + 1) * 2.0 ** -k)
     return x_lo, x_hi, y_lo, y_hi
 
@@ -89,16 +90,20 @@ def rect_area(k: int, a: int, f) -> float:
     return (x_hi - x_lo) * max(y_hi - y_lo, 0.0)
 
 
-def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, density=None):
+def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, shift=0.0, which=0):
     """Rectangles R(k, a) holding hypograph points: (ks, offsets, unresolved_mask).
 
-    Points that no rectangle up to MAX_DEPTH catches are flagged in the mask
-    rather than raising, so callers can resample just those; flagged before
-    any depth are those that no rectangle holds: x outside [0, 1), not a
-    number, or y below f(2).  Each depth visits only the points still
-    unplaced: m = floor(x * 2**k) is exact for x in [0, 1) and k <= MAX_DEPTH,
-    its low bit is clear exactly when x lies in the left half of a depth-k
-    cell, and a = m >> 1 is that cell's offset.
+    Point i lies under f(x + shift[which[i]]) on [0, 1], and R(0, 0) spans y
+    in [0, f(1 + shift[which[i]])).  The half-line scheme passes each bin's
+    left end and each point's bin, so one call locates every bin; a unit-scheme
+    call passes neither, and a lone shift applies to every point.  Points that
+    no rectangle up to MAX_DEPTH catches are flagged in the mask rather than
+    raising, so callers can resample just those; flagged before any depth are
+    those that no rectangle holds: x outside [0, 1), not a number, or y below
+    0.  Each depth visits only the points still unplaced: m = floor(x * 2**k)
+    is exact for x in [0, 1) and k <= MAX_DEPTH, its low bit is clear exactly
+    when x lies in the left half of a depth-k cell, and a = m >> 1 is that
+    cell's offset.
 
     The rectangles along the vertical line through a point are stacked, so
     each depth compares y with one threshold, f at the cell's middle.  The
@@ -109,29 +114,26 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, density=None):
     commutes with that scaling, so they are the same double even above
     2**53, and a point not placed there has y at or above it.
 
-    density(x, points), when given, replaces f.pdf(x): it is the density at
-    x of each point that the index array or slice ``points`` selects, so one
-    call locates points lying under different densities, such as the
-    half-line scheme's bins.  Without it, a depth whose left-half points
-    outnumber its 2**(k-1) cells evaluates f.pdf once on their middles and
-    reads each point's threshold with take(a): the same doubles that the
-    direct path evaluates, so every decision is the same.
+    A depth whose left-half points outnumber the 2**(k-1) cells of all its
+    bins together evaluates f once on every bin's cell middles and reads each
+    point's threshold with take; otherwise f is evaluated at each point's own
+    middle.  Both give the same doubles, so every decision is the same.
     """
-    tabulate = density is None
-    if tabulate:
-        def density(x, points):
-            return f.pdf(x)
-
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    every = slice(None)
-    floor = density(2.0, every)
-    ks = np.where((ys >= floor) & (ys < density(1.0, every)), np.int64(0), np.int64(-1))
+    shift = np.reshape(np.asarray(shift, dtype=float), -1)
+    per_bin = np.ndim(which) > 0 or shift.any()
+    which = np.broadcast_to(which, xs.shape) if per_bin else which
+    inside = (xs >= 0.0) & (xs < 1.0) & (ys >= 0.0)
+    placed = inside & (ys < f.pdf(1.0 + shift)[which])
+    ks = np.where(placed, np.int64(0), np.int64(-1))
     offs = np.zeros(xs.size, dtype=np.int64)
     # the points still unplaced that some rectangle may hold; each depth
     # compacts them by index, since a take through np.flatnonzero is several
     # times faster than a mask gather
-    idx = np.flatnonzero((ks < 0) & (ys >= floor) & (xs >= 0.0) & (xs < 1.0))
+    inside ^= placed
+    idx = np.flatnonzero(inside)
+    del inside, placed
     for k in range(1, MAX_DEPTH + 1):
         if not idx.size:
             break
@@ -141,10 +143,16 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, density=None):
         del m
         points = idx.take(left)
         cells = 1 << (k - 1)
-        if tabulate and a.size > cells:
-            hi = f.pdf((2 * np.arange(cells) + 1) * 2.0 ** -k).take(a)
+        if a.size > shift.size * cells:  # f at every bin's cell middles
+            x = (2 * np.arange(cells) + 1) * 2.0 ** -k
+            if per_bin:  # a row per bin, indexed in int64 as which may be int32
+                grid = f.pdf((shift[:, None] + x).ravel())
+                hi = grid.take(which.take(points) * np.int64(cells) + a)
+            else:
+                hi = f.pdf(x).take(a)
         else:
-            hi = density((2 * a + 1) * 2.0 ** -k, points)
+            x = (2 * a + 1) * 2.0 ** -k
+            hi = f.pdf(x + shift.take(which.take(points)) if per_bin else x)
         hit = np.flatnonzero(ys.take(points) < hi)
         del hi
         placed = points.take(hit)

