@@ -3,6 +3,10 @@
 All bit strings are most-significant-bit first: bit i of a stream lives in
 bit (7 - i % 8) of byte i // 8.  Codewords produced here are prefix free, so
 streams written back to back decode unambiguously.
+
+read_container is the one framed read of a payload: it accepts a payload only
+when the header names the scheme a codec decodes and the codec's
+parse(source, n) reads it to its last bit.
 """
 
 from __future__ import annotations
@@ -225,7 +229,17 @@ def read_header(data: bytes) -> ContainerHeader:
     return ContainerHeader(scheme, n, payload_bits)
 
 
-def read_container(data: bytes) -> tuple[ContainerHeader, BitSource]:
-    """Parse and validate a container, returning its header and payload reader."""
+def read_container(data: bytes, scheme: int, parse):
+    """parse(source, n) over the whole payload of a container of the given scheme.
+
+    FormatError is raised if the header names another scheme or if parse
+    leaves payload bits unread.
+    """
     header = read_header(data)
-    return header, BitSource(data, header.payload_bits, bit_offset=8 * HEADER_SIZE)
+    if header.scheme != scheme:
+        raise FormatError(f"expected a {SCHEME_NAMES[scheme]} container, got {SCHEME_NAMES[header.scheme]}")
+    source = BitSource(data, header.payload_bits, bit_offset=8 * HEADER_SIZE)
+    out = parse(source, header.n)
+    if source.bits_remaining:
+        raise FormatError(f"{source.bits_remaining} unread payload bits")
+    return out

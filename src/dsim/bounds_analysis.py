@@ -19,8 +19,7 @@ from scipy.stats import binom as _binom
 from scipy.stats import chi2 as _chi2
 
 from . import desimulate_any, dyadic_codec, simulate_any
-from .bitcodes import (SCHEME_UNIT, FormatError, gamma_length, read_container, read_header,
-                       shifted_gamma_length)
+from .bitcodes import SCHEME_UNIT, gamma_length, read_container, read_header, shifted_gamma_length
 from .distributions import IntegerDistribution, MonotonePdf
 from .dyadic_codec import rect_area
 from .rng import RandomSource
@@ -161,15 +160,10 @@ def truncated_payload_bits(data: bytes, k_max: int = 8) -> int:
     must drop their codeword bits too.
     """
     _require(k_max >= 0, "k_max must be >= 0")
-    header, source = read_container(data)
-    if header.scheme != SCHEME_UNIT:
-        raise ValueError("depth truncation applies to unit-scheme containers")
     kept = 0
-    for k, a, count in dyadic_codec.decode_triples(source, header.n):
+    for k, a, count in read_container(data, SCHEME_UNIT, dyadic_codec.decode_triples):
         if k <= k_max:
             kept += shifted_gamma_length(k) + shifted_gamma_length(a) + gamma_length(count)
-    if source.bits_remaining:
-        raise FormatError(f"{source.bits_remaining} unread payload bits after the triples")
     return kept
 
 

@@ -7,9 +7,9 @@ against the closed-form ceilings), bound (evaluate one ceiling), exact-length
 distribution tests at level 0.01 over many seeds).  All randomness derives
 from --seed, so identical invocations produce byte-identical outputs.  main
 alone turns exceptions into messages: a malformed container, an unreadable or
-unwritable file, or other bad input prints one error line and exits 1.  Each
-command reads its input before it opens its output, and does its work after,
-so a bad -o fails before any work is done.
+unwritable file, an analysis command without scipy, or other bad input prints
+one error line and exits 1.  Each command reads its input before it opens its
+output, and does its work after, so a bad -o fails before any work is done.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
         print(f"error: container: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
-    except ValueError as exc:
+    except (ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 1
 

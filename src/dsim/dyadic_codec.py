@@ -269,12 +269,7 @@ def simulate(f, n: int, rng: RandomSource) -> bytes:
 
 def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     """Regenerate n i.i.d. samples from an encoded rectangle list."""
-    header, source = read_container(data)
-    if header.scheme != SCHEME_UNIT:
-        raise FormatError(f"expected a unit-scheme container, got scheme {header.scheme:#x}")
-    triples = decode_triples(source, header.n)
-    if source.bits_remaining:
-        raise FormatError(f"{source.bits_remaining} unread payload bits after the triples")
+    triples = read_container(data, SCHEME_UNIT, decode_triples)
     out = points_from_triples(triples, rng.child("points").gen)
     rng.child("order").gen.shuffle(out)
     return out

@@ -29,7 +29,6 @@ import numpy as np
 
 from .bitcodes import (
     SCHEME_HALFLINE,
-    FormatError,
     read_container,
     write_container,
 )
@@ -132,15 +131,15 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     return write_container(SCHEME_HALFLINE, n, sink)
 
 
+def _read_bins(source, n: int):
+    """The payload as (bins, their counts, every bin's triples in bin order)."""
+    uniq, counts = decode_multiset(source, n)
+    return uniq, counts, [t for count in counts.tolist() for t in decode_triples(source, count)]
+
+
 def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     """Regenerate n i.i.d. samples; needs only the codeword, never the density."""
-    header, source = read_container(data)
-    if header.scheme != SCHEME_HALFLINE:
-        raise FormatError(f"expected a half-line container, got scheme {header.scheme:#x}")
-    uniq, counts = decode_multiset(source, header.n)
-    triples = [t for count in counts.tolist() for t in decode_triples(source, count)]
-    if source.bits_remaining:
-        raise FormatError(f"{source.bits_remaining} unread payload bits after the last bin")
+    uniq, counts, triples = read_container(data, SCHEME_HALFLINE, _read_bins)
     # one draw of all the uniforms equals the per-bin draws in bin order
     out = points_from_triples(triples, rng.child("points").gen)
     out += np.repeat(uniq.astype(float) - 1.0, counts)

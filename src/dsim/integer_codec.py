@@ -33,15 +33,14 @@ from .rng import RandomSource
 __all__ = ["encode_multiset", "decode_multiset", "simulate", "desimulate"]
 
 
-def encode_multiset(values, sink: BitSink | None = None) -> BitSink:
-    """Append the codeword for a multiset of integers in [1, 2**63 - 1]."""
+def encode_multiset(values) -> BitSink:
+    """The codeword for a multiset of integers in [1, 2**63 - 1]."""
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("multiset must be a 1-d collection")
     if arr.size and arr.min() < 1:
         raise ValueError("multiset values must be >= 1")
-    if sink is None:
-        sink = BitSink()
+    sink = BitSink()
     uniq, counts = np.unique(arr, return_counts=True)
     gaps = np.diff(uniq, prepend=0)
     for j, (gap, m) in enumerate(zip(gaps.tolist(), counts.tolist())):
@@ -97,11 +96,6 @@ def simulate(dist, n: int, rng: RandomSource) -> tuple[bytes, np.ndarray]:
 
 def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     """Decode a container into n exchangeable draws from the source law."""
-    header, source = read_container(data)
-    if header.scheme != SCHEME_INTEGER:
-        raise FormatError(f"expected an integer-scheme container, got scheme {header.scheme:#x}")
-    out = np.repeat(*decode_multiset(source, header.n))
-    if source.bits_remaining:
-        raise FormatError(f"{source.bits_remaining} unread payload bits after the multiset")
+    out = np.repeat(*read_container(data, SCHEME_INTEGER, decode_multiset))
     rng.child("order").gen.shuffle(out)
     return out

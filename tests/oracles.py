@@ -17,7 +17,7 @@ def locate(x: float, y: float, f) -> tuple[int, int]:
         raise ValueError("x must lie in [0, 1)")
     if not 0.0 <= y < f.pdf(x):
         raise ValueError("point is not inside the density hypograph")
-    if f.pdf(2.0) <= y < f.pdf(1.0):
+    if y < f.pdf(1.0):  # R(0, 0): the law has no mass past 1
         return 0, 0
     t = x
     a = 0

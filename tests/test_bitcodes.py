@@ -28,6 +28,12 @@ from dsim.bitcodes import (
 from oracles import from_bitstring, to_bitstring
 
 
+def read_payload(data: bytes, scheme: int) -> tuple[int, int, int]:
+    """(n, payload bit count, payload bits as an int) through the framed read."""
+    return read_container(data, scheme, lambda source, n: (
+        n, source.bits_remaining, source.read_bits(source.bits_remaining)))
+
+
 def encode_to_bitstring(z: int) -> str:
     sink = BitSink()
     gamma_encode(z, sink)
@@ -193,10 +199,8 @@ class TestContainer:
         sink = BitSink()
         sink.write_bits(0b101101, 6)
         data = write_container(SCHEME_UNIT, 3, sink)
-        header, src = read_container(data)
-        assert (header.scheme, header.n, header.payload_bits) == (SCHEME_UNIT, 3, 6)
-        assert src.read_bits(6) == 0b101101
-        assert src.bits_remaining == 0
+        assert read_header(data) == ContainerHeader(SCHEME_UNIT, 3, 6)
+        assert read_payload(data, SCHEME_UNIT) == (3, 6, 0b101101)
 
     @given(st.integers(0, 2**64 - 1), st.binary(max_size=64), st.integers(0, 7))
     @settings(max_examples=100)
@@ -207,30 +211,54 @@ class TestContainer:
         if spare:
             sink.write_bits((1 << spare) - 1, spare)
         data = write_container(SCHEME_HALFLINE, n, sink)
-        header, src = read_container(data)
-        assert header.n == n
-        assert header.payload_bits == 8 * len(body) + spare
-        assert [src.read_bits(8) for _ in body] == list(body)
-        if spare:
-            assert src.read_bits(spare) == (1 << spare) - 1
-        assert src.bits_remaining == 0
+
+        def parse(src, n):
+            out = n, [src.read_bits(8) for _ in body], src.read_bits(spare)
+            assert src.bits_remaining == 0
+            return out
+
+        assert read_header(data).payload_bits == 8 * len(body) + spare
+        assert read_container(data, SCHEME_HALFLINE, parse) == (n, list(body), (1 << spare) - 1)
+
+    def test_foreign_scheme_rejected(self):
+        data = write_container(SCHEME_HALFLINE, 2, BitSink())
+        with pytest.raises(FormatError, match="expected a unit container, got halfline"):
+            read_payload(data, SCHEME_UNIT)
+        with pytest.raises(FormatError, match="expected"):
+            read_container(data, SCHEME_INTEGER, lambda source, n: pytest.fail("parsed a foreign payload"))
+
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=20)
+    def test_parse_receives_the_header_n(self, n):
+        data = write_container(SCHEME_INTEGER, n, BitSink())
+        assert read_container(data, SCHEME_INTEGER, lambda source, got: got) == n
+
+    def test_unread_bits_rejected(self):
+        sink = BitSink()
+        sink.write_bits(0b10110, 5)
+        data = write_container(SCHEME_UNIT, 1, sink)
+        assert read_container(data, SCHEME_UNIT, lambda source, n: source.read_bits(5)) == 0b10110
+        with pytest.raises(FormatError, match="3 unread payload bits"):
+            read_container(data, SCHEME_UNIT, lambda source, n: source.read_bits(2))
+        with pytest.raises(FormatError, match="5 unread payload bits"):
+            read_container(data, SCHEME_UNIT, lambda source, n: None)
 
     def test_bad_magic(self):
         data = write_container(SCHEME_INTEGER, 1, BitSink())
         with pytest.raises(FormatError, match="magic"):
-            read_container(b"XSIM" + data[4:])
+            read_payload(b"XSIM" + data[4:], SCHEME_INTEGER)
 
     def test_bad_version(self):
         data = bytearray(write_container(SCHEME_INTEGER, 1, BitSink()))
         data[4] = 99
         with pytest.raises(FormatError, match="version"):
-            read_container(bytes(data))
+            read_payload(bytes(data), SCHEME_INTEGER)
 
     def test_bad_scheme(self):
         data = bytearray(write_container(SCHEME_INTEGER, 1, BitSink()))
         data[5] = 0x77
         with pytest.raises(FormatError, match="scheme"):
-            read_container(bytes(data))
+            read_payload(bytes(data), SCHEME_INTEGER)
         with pytest.raises(ValueError):
             write_container(0x77, 1, BitSink())
 
@@ -239,14 +267,14 @@ class TestContainer:
         sink.write_bits(0xFFFF, 16)
         data = write_container(SCHEME_INTEGER, 1, sink)
         with pytest.raises(FormatError):
-            read_container(data[:10])
+            read_payload(data[:10], SCHEME_INTEGER)
         with pytest.raises(FormatError):
-            read_container(data[:-1])
+            read_payload(data[:-1], SCHEME_INTEGER)
 
     def test_trailing_garbage_rejected(self):
         data = write_container(SCHEME_INTEGER, 1, BitSink())
         with pytest.raises(FormatError):
-            read_container(data + b"\x00")
+            read_payload(data + b"\x00", SCHEME_INTEGER)
 
     def test_nonzero_padding_rejected(self):
         sink = BitSink()
@@ -255,19 +283,21 @@ class TestContainer:
             data = bytearray(write_container(SCHEME_INTEGER, 1, sink))
             data[-1] |= bit
             with pytest.raises(FormatError, match="padding"):
-                read_container(bytes(data))
+                read_payload(bytes(data), SCHEME_INTEGER)
 
     def test_read_header_checks_what_read_container_checks(self):
         sink = BitSink()
         sink.write_bits(0b1, 1)
         data = write_container(SCHEME_UNIT, 3, sink)
-        assert read_header(data) == read_container(data)[0] == ContainerHeader(SCHEME_UNIT, 3, 1)
+        assert read_header(data) == ContainerHeader(SCHEME_UNIT, 3, 1)
+        assert read_payload(data, SCHEME_UNIT) == (3, 1, 1)
         malformed = [data[:10], b"XSIM" + data[4:], data[:4] + b"\x63" + data[5:], data[:5] + b"\x77" + data[6:],
                      data[:-1], data + b"\x00", data[:-1] + bytes([data[-1] | 1])]
         for bad in malformed:
-            for reader in (read_header, read_container):
-                with pytest.raises(FormatError):
-                    reader(bad)
+            with pytest.raises(FormatError):
+                read_header(bad)
+            with pytest.raises(FormatError):
+                read_payload(bad, SCHEME_UNIT)
 
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):

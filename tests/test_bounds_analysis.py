@@ -25,7 +25,7 @@ from dsim.bounds_analysis import (
     truncated_payload_bits,
     verify_trial,
 )
-from dsim.bitcodes import (SCHEME_UNIT, BitSink, FormatError, gamma_length, read_container,
+from dsim.bitcodes import (SCHEME_UNIT, BitSink, FormatError, gamma_length, read_container, read_header,
                            shifted_gamma_length, write_container)
 from dsim.distributions import MonotonePdf, exponential, geometric, pareto_flat, triangular, zipf
 from dsim.dyadic_codec import decode_triples, rect_area
@@ -148,17 +148,15 @@ class TestEnumerator:
 class TestTruncatedPayload:
     def test_recount_matches_manual_walk(self):
         data = unit_simulate(triangular(), 200, RandomSource.from_seed(9))
-        header, source = read_container(data)
         manual = 0
-        for k, a, count in decode_triples(source, header.n):
+        for k, a, count in read_container(data, SCHEME_UNIT, decode_triples):
             if k <= 8:
                 manual += shifted_gamma_length(k) + shifted_gamma_length(a) + gamma_length(count)
         assert truncated_payload_bits(data, k_max=8) == manual
 
     def test_untruncated_equals_payload(self):
         data = unit_simulate(triangular(), 500, RandomSource.from_seed(10))
-        header = read_container(data)[0]
-        assert truncated_payload_bits(data, k_max=10**6) == header.payload_bits
+        assert truncated_payload_bits(data, k_max=10**6) == read_header(data).payload_bits
 
     def test_empty_stream_keeps_no_bits(self):
         data = unit_simulate(triangular(), 0, RandomSource.from_seed(10))
@@ -170,12 +168,17 @@ class TestTruncatedPayload:
         data = int_simulate(geometric(0.5), 10, RandomSource.from_seed(1))[0]
         with pytest.raises(ValueError):
             truncated_payload_bits(data)
+        data = simulate_any(exponential(1.0), 10, RandomSource.from_seed(1))
+        with pytest.raises(FormatError, match="expected a unit container, got halfline"):
+            truncated_payload_bits(data)
 
     def test_rejects_unread_payload_bits(self):
         # the unit decoder rejects the same container
-        header, source = read_container(unit_simulate(triangular(), 50, RandomSource.from_seed(12)))
+        data = unit_simulate(triangular(), 50, RandomSource.from_seed(12))
+        header = read_header(data)
         sink = BitSink()
-        sink.write_bits(source.read_bits(header.payload_bits), header.payload_bits)
+        sink.write_bits(read_container(data, SCHEME_UNIT, lambda source, n: source.read_bits(header.payload_bits)),
+                        header.payload_bits)
         sink.write_bits(0b101, 3)
         data = write_container(SCHEME_UNIT, header.n, sink)
         with pytest.raises(FormatError, match="3 unread payload bits"):
@@ -203,7 +206,7 @@ class TestEmpirical:
         res = empirical_length(geometric(0.7), 50, 3, seed=7)
         root = RandomSource.from_seed(7)
         data = simulate_any(geometric(0.7), 50, root.child("trial", 1))
-        assert res.lengths[1] == read_container(data)[0].payload_bits
+        assert res.lengths[1] == read_header(data).payload_bits
 
     def test_dispatch_type_errors(self):
         rng = RandomSource.from_seed(1)

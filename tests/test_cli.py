@@ -12,7 +12,7 @@ import pytest
 import dsim
 from dsim.cli import main
 from dsim.bounds_analysis import thm2_bound, verify_trial
-from dsim.bitcodes import BitSource, read_container
+from dsim.bitcodes import BitSource, read_header
 from dsim.distributions import geometric, parse_spec
 from dsim.integer_codec import simulate as int_simulate
 from dsim.rng import RandomSource
@@ -296,7 +296,7 @@ class TestConsoleScript:
              "--dist", "geometric:p=0.5", "-n", "20", "--seed", "8", "-o", str(blob)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        header = read_container(blob.read_bytes())[0]
+        header = read_header(blob.read_bytes())
         assert header.n == 20
 
 
@@ -316,9 +316,8 @@ loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
 
-# Round-trips each law through main while sys.meta_path refuses every scipy
-# import, then checks that the refusal is in force.
-NO_SCIPY_PROBE = """
+# Makes sys.meta_path refuse every scipy import.
+REFUSE_SCIPY = """
 import sys
 class RefuseScipy:
     def find_spec(self, name, path=None, target=None):
@@ -327,6 +326,11 @@ class RefuseScipy:
         return None
 sys.meta_path.insert(0, RefuseScipy())
 from dsim.cli import main
+"""
+
+# Round-trips each law through main while scipy is refused, then checks that
+# the refusal is in force.
+NO_SCIPY_PROBE = REFUSE_SCIPY + """
 stem, *specs = sys.argv[1:]
 for spec in specs:
     assert main(["encode", "--dist", spec, "-n", "200", "--seed", "1", "-o", stem + ".dsim"]) == 0
@@ -360,6 +364,19 @@ class TestImportBoundary:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "refused"
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--theorem", "3", "--f0", "2", "-n", "100"],
+        ["bench", "--dist", "triangular", "--n-list", "100", "--trials", "2", "--seed", "1"],
+        ["exact-length", "--dist", "triangular", "--n-list", "100"],
+        ["verify", "--dist", "triangular", "-n", "100", "--trials", "2", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_analysis_without_scipy_prints_one_error_line(self, argv, env):
+        proc = subprocess.run([sys.executable, "-c", REFUSE_SCIPY + "sys.exit(main(sys.argv[1:]))", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_import_loads_numpy_random_and_no_scipy():

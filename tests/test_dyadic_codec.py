@@ -16,6 +16,7 @@ from dsim.bitcodes import (
     FormatError,
     gamma_encode,
     read_container,
+    read_header,
     shifted_gamma_encode,
     write_container,
 )
@@ -305,7 +306,7 @@ class TestTripleCodec:
 class TestScheme:
     def test_round_trip_shape(self):
         data = simulate(TRI, 1234, RandomSource.from_seed(8))
-        header = read_container(data)[0]
+        header = read_header(data)
         assert header.scheme == SCHEME_UNIT
         assert header.n == 1234
         out = desimulate(data, RandomSource.from_seed(9))
@@ -331,7 +332,7 @@ class TestScheme:
                            lambda u: u, f0=1.0)
         assert rect_bounds(0, 0, flat) == (0.0, 1.0, 0.0, 1.0)
         data = simulate(flat, 1000, RandomSource.from_seed(1))
-        assert decode_triples(read_container(data)[1], 1000) == [(0, 0, 1000)]
+        assert read_container(data, SCHEME_UNIT, decode_triples) == [(0, 0, 1000)]
         out = desimulate(data, RandomSource.from_seed(2))
         assert out.size == 1000 and np.all((out >= 0.0) & (out < 1.0))
 
@@ -740,3 +741,23 @@ class TestStackedThresholds:
                     points += edge_heights(f, x, k)
         assert len(points) > 20
         assert_oracle_batched_and_alone(f, points)
+
+
+class TestDepthZero:
+    """The law has no mass past 1, so the oracle, like the locator, takes
+    R(0, 0) down to y = 0 whatever the density formula gives at 2."""
+
+    @pytest.mark.parametrize("f", [
+        MonotonePdf("flat", "unit", lambda x: np.ones_like(x), lambda x: np.clip(x, 0.0, 1.0),
+                    lambda u: u, f0=1.0),
+        unguarded_exponential(6.0),
+    ], ids=["flat", "unguarded-exp"])
+    def test_oracle_matches_the_locator_below_f_of_two(self, f):
+        rng = RandomSource.from_seed(60)
+        xs = f.cdf_inverse(rng.gen.random(2000))
+        ys = rng.gen.random(2000) * f.pdf(xs)
+        # heights 0 and f(2) / 2, at x = 0.3 among others
+        low_xs = np.repeat([0.0, 0.3, 0.5, 1.0 - 2.0**-53], 2)
+        low_ys = np.tile([0.0, 0.5], 4) * f.pdf(2.0)
+        ks, bad = assert_batch_matches_scalar(np.append(xs, low_xs), np.append(ys, low_ys), f)
+        assert np.all(ks[-8:] == 0) and not bad.any()

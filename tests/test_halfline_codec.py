@@ -13,6 +13,7 @@ from dsim.bitcodes import (
     FormatError,
     gamma_encode,
     read_container,
+    read_header,
     shifted_gamma_encode,
     write_container,
 )
@@ -101,7 +102,7 @@ class TestRestriction:
 class TestScheme:
     def test_round_trip_shape(self):
         data = simulate(EXP1, 3000, RandomSource.from_seed(21))
-        header = read_container(data)[0]
+        header = read_header(data)
         assert header.scheme == SCHEME_HALFLINE
         assert header.n == 3000
         out = desimulate(data, RandomSource.from_seed(22))
@@ -111,8 +112,13 @@ class TestScheme:
     def test_bin_counts_preserved(self):
         # the decoded values land in exactly the bins the encoder transmitted
         data = simulate(EXP1, 2000, RandomSource.from_seed(30))
-        header, source = read_container(data)
-        sent_bins = np.repeat(*decode_multiset(source, header.n))
+
+        def bins_only(source, n):
+            runs = decode_multiset(source, n)
+            source.read_bits(source.bits_remaining)  # the bins' triples follow the multiset
+            return runs
+
+        sent_bins = np.repeat(*read_container(data, SCHEME_HALFLINE, bins_only))
         out = desimulate(data, RandomSource.from_seed(31))
         got_bins = np.sort(np.floor(out).astype(np.int64) + 1)
         assert np.array_equal(got_bins, sent_bins)
@@ -205,10 +211,9 @@ class TestScheme:
 
 def per_bin_reference(f, n, rng):
     """The encoder as one unit stream per occupied bin, each in its own pass."""
-    sink = BitSink()
     values = f.sample(rng.child("values"), n)
     bins = np.floor(values).astype(np.int64) + 1
-    encode_multiset(bins, sink)
+    sink = encode_multiset(bins)
     heights = rng.child("heights").gen
     retry = rng.child("retry")
     order = np.argsort(bins, kind="stable")

@@ -17,7 +17,7 @@ from dsim.bitcodes import (
     BitSource,
     FormatError,
     TruncatedStreamError,
-    read_container,
+    read_header,
 )
 from dsim.distributions import geometric, zipf
 from dsim.integer_codec import decode_multiset, desimulate, encode_multiset, simulate
@@ -102,9 +102,7 @@ class TestRoundTrip:
         assert np.repeat(*decode_multiset(src, len(values))).tolist() == sorted(values)
 
     def test_streams_compose(self):
-        sink = encode_multiset([4, 4, 7])
-        encode_multiset([1, 100], sink)
-        src = BitSource(sink.to_bytes(), sink.bit_length)
+        src = from_bitstring(to_bitstring(encode_multiset([4, 4, 7])) + to_bitstring(encode_multiset([1, 100])))
         assert np.repeat(*decode_multiset(src, 3)).tolist() == [4, 4, 7]
         assert np.repeat(*decode_multiset(src, 2)).tolist() == [1, 100]
         assert src.bits_remaining == 0
@@ -187,7 +185,7 @@ class TestScheme:
 
     def test_header_fields(self):
         data, _ = simulate(zipf(3.0), 128, RandomSource.from_seed(9))
-        header = read_container(data)[0]
+        header = read_header(data)
         assert header.n == 128
         assert header.payload_bits > 0
 

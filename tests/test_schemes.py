@@ -20,6 +20,7 @@ from dsim.bitcodes import (
     FormatError,
     TruncatedStreamError,
     read_container,
+    read_header,
     write_container,
 )
 from dsim.distributions import exponential, geometric, pareto_flat, triangular, zipf
@@ -160,9 +161,11 @@ def test_codecs_reject_containers_of_the_other_schemes(codec, law):
 VALID_PAYLOADS = []
 for _dist, _n in [(geometric(0.7), 300), (zipf(3.0), 200), (triangular(), 300),
                   (exponential(1.0), 300), (pareto_flat(2.0, 2.0), 200)]:
-    _header, _source = read_container(simulate_any(_dist, _n, RandomSource.from_seed(_n)))
+    _data = simulate_any(_dist, _n, RandomSource.from_seed(_n))
+    _header = read_header(_data)
     _bits = _header.payload_bits
-    VALID_PAYLOADS.append((_header.scheme, _n, format(_source.read_bits(_bits), f"0{_bits}b")))
+    VALID_PAYLOADS.append((_header.scheme, _n, read_container(
+        _data, _header.scheme, lambda source, n: format(source.read_bits(_bits), f"0{_bits}b"))))
 
 
 @st.composite
