@@ -15,7 +15,8 @@ The codeword lists the occupied rectangles in lexicographic (k, a) order,
 which is the order of their heap nodes 2**(k-1) + a (node 0 for k = 0), each
 as shifted-gamma(k), shifted-gamma(a), gamma(count).  For this scheme and
 the half-line scheme, collect_triples is the one path from located points to
-triples and write_triples the one writer of that layout.  No rectangle lies
+triples and write_triples the one writer of that layout; each takes every
+half-line bin in one call, their triples in bin order.  No rectangle lies
 deeper than MAX_DEPTH, the only depth: the locator searches every depth up
 to it, collect_triples redraws the rare point that none catches, and the
 decoder rejects deeper triples.
@@ -170,46 +171,55 @@ def _hypograph_draw(f, gen, size: int):
     return xs, ys
 
 
-def collect_triples(ks, offs, bad, resample_from) -> list[tuple[int, int, int]]:
-    """Sorted (k, a, count) triples of located hypograph points.
+def collect_triples(ks, offs, bad, resample_from, *, which=None) -> list[tuple[int, int, int]]:
+    """(k, a, count) triples of located hypograph points, bin by bin in (k, a) order.
 
-    ks, offs and bad are locate_batch's output for points of some law f's
-    hypograph.  The points that bad flags are replaced, in place, by fresh
-    hypograph draws, which leaves the encoded law unchanged.  resample_from()
-    returns (f, retry_rng) for those draws; it is called once, and only if
-    bad flags a point.  DepthExceededError is raised if some are still
-    uncaught after RETRY_BUDGET rounds.
+    ks, offs and bad are locate_batch's output, and which is the non-decreasing
+    bin of each point that locate_batch took (bin 0 for every point without
+    it).  The points that bad flags are replaced, in place, by fresh hypograph
+    draws, which leaves the encoded law unchanged.  resample_from(j) returns
+    (f, retry_rng) for the draws of bin j; it is called once for each bin with
+    a flagged point, in bin order.  DepthExceededError is raised if some are
+    still uncaught after RETRY_BUDGET rounds.
     """
-    rounds = 0
-    while bad.any():
-        if not rounds:
-            f, retry_rng = resample_from()
-        rounds += 1
-        if rounds > RETRY_BUDGET:
+    which = np.zeros(ks.size, dtype=np.int8) if which is None else which
+    for j in dict.fromkeys(which[bad].tolist()):
+        lo, hi = np.searchsorted(which, (j, j + 1))
+        f, retry_rng = resample_from(j)
+        k, off, b = ks[lo:hi], offs[lo:hi], bad[lo:hi]
+        for _ in range(RETRY_BUDGET):
+            idx = np.flatnonzero(b)
+            rx, ry = _hypograph_draw(f, retry_rng.gen, idx.size)
+            k[idx], off[idx], b[idx] = locate_batch(rx, ry, f)
+            if not b.any():
+                break
+        else:
             raise DepthExceededError(f"depth budget still exhausted after {RETRY_BUDGET} resamples")
-        idx = np.flatnonzero(bad)
-        rx, ry = _hypograph_draw(f, retry_rng.gen, idx.size)
-        rks, roffs, rbad = locate_batch(rx, ry, f)
-        ks[idx] = rks
-        offs[idx] = roffs
-        bad[idx] = rbad
-    return _count_rectangles(ks, offs)
+    return _count_rectangles(ks, offs, which)
 
 
-def _count_rectangles(ks: np.ndarray, offs: np.ndarray) -> list[tuple[int, int, int]]:
-    """(k, a, count) of each distinct rectangle, in (k, a) order.
+def _count_rectangles(ks: np.ndarray, offs: np.ndarray, which: np.ndarray) -> list[tuple[int, int, int]]:
+    """(k, a, count) of each distinct rectangle, bin by bin in (k, a) order.
 
     R(k, a) is heap node 2**(k-1) + a (node 0 for k = 0).  Depth k fills the
     nodes [2**(k-1), 2**k), so node order is (k, a) order, and a node's bit
-    length is its depth.
+    length is its depth.  A key puts the bin above the deepest node's bits,
+    so one np.unique sorts every bin; only where a key would pass 63 bits
+    are the bins cut into runs of 2**(63 - depth).
     """
-    nodes = np.left_shift(1, ks - 1, out=np.zeros_like(ks), where=ks > 0)
-    nodes += offs
-    uniq, counts = np.unique(nodes, return_counts=True)
+    keys = np.left_shift(1, ks - 1, out=np.zeros_like(ks), where=ks > 0)
+    keys += offs
+    depth = int(ks.max(initial=0))
+    bins = int(which[-1]) + 1 if which.size else 0
     out = []
-    for node, count in zip(uniq.tolist(), counts.tolist()):
-        k = node.bit_length()
-        out.append((k, node - (1 << k >> 1), count))
+    for first in range(0, bins, 1 << (63 - depth)):
+        lo, hi = np.searchsorted(which, (first, min(first + (1 << (63 - depth)), bins)))
+        if bins > 1:  # a lone bin needs no rank; << reuses the int64 temporary
+            keys[lo:hi] += np.subtract(which[lo:hi], first, dtype=np.int64) << depth
+        uniq, counts = np.unique(keys[lo:hi], return_counts=True)
+        for key, count in zip(uniq.tolist(), counts.tolist()):
+            node = key & ((1 << depth) - 1)
+            out.append((node.bit_length(), node - (1 << node.bit_length() >> 1), count))
     return out
 
 
@@ -263,7 +273,7 @@ def simulate(f, n: int, rng: RandomSource) -> bytes:
         raise ValueError("n must be >= 0")
     sink = BitSink()
     xs, ys = _hypograph_draw(f, rng.child("points").gen, n)
-    write_triples(collect_triples(*locate_batch(xs, ys, f), lambda: (f, rng.child("retry"))), sink)
+    write_triples(collect_triples(*locate_batch(xs, ys, f), lambda _: (f, rng.child("retry"))), sink)
     return write_container(SCHEME_UNIT, n, sink)
 
 

@@ -12,10 +12,11 @@ The encoder works on all bins in one pass: it sorts the draws by bin, draws
 every height at once and locates every point with one locator call against
 f shifted into its bin, unnormalised: scaling a bin's density scales its
 heights alike.  The call takes each bin's left end and each point's bin as
-arrays; a bin's density is 0 past 1, so R(0, 0)'s lower edge is 0.  Only a
-bin with a point that no rectangle up to MAX_DEPTH catches builds its
-normalised law (restrict_to_bin), for collect_triples to redraw that point.
-The bytes are those of one stream per bin in turn.
+arrays; a bin's density is 0 past 1, so R(0, 0)'s lower edge is 0.  One
+collect_triples call groups every bin and one write_triples call writes
+them.  Only a bin with a point that no rectangle up to MAX_DEPTH catches
+builds its normalised law (restrict_to_bin), for collect_triples to redraw
+that point.  The bytes are those of one stream per bin in turn.
 
 The decoder never evaluates the density: it reads the integer payload as runs,
 each occupied bin with its count, and within-bin positions come from the
@@ -58,10 +59,11 @@ def restrict_to_bin(f: MonotonePdf, i: int) -> MonotonePdf:
     if i < 1:
         raise ValueError("bin index must be >= 1")
     shift = float(i - 1)
+    head_at_shift, tail_at_shift = f.cdf(shift), f.tail(shift)
 
     def mass_up_to(x):
         head = f.cdf(x)
-        return np.where(head <= 0.5, head - f.cdf(shift), f.tail(shift) - f.tail(x))
+        return np.where(head <= 0.5, head - head_at_shift, tail_at_shift - f.tail(x))
 
     mass = float(mass_up_to(float(i)))
     if not mass > 0.0:
@@ -125,9 +127,9 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     del values
     # called through the module, so a wrapper installed there sees the call
     ks, offs, unresolved = dyadic_codec.locate_batch(xs, ys, f, shift=shift, which=which)
-    for i, lo, hi in zip(uniq.tolist(), edges[:-1].tolist(), edges[1:].tolist()):
-        write_triples(collect_triples(ks[lo:hi], offs[lo:hi], unresolved[lo:hi],
-                                      lambda: (restrict_to_bin(f, i), rng.child("retry", i))), sink)
+    del xs, ys
+    write_triples(collect_triples(ks, offs, unresolved, which=which, resample_from=lambda j: (
+        restrict_to_bin(f, int(uniq[j])), rng.child("retry", int(uniq[j])))), sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
 

@@ -202,7 +202,7 @@ class TestHeapNodes:
         offs = gen.integers(0, np.left_shift(1, ks - 1))
         pairs = sorted(set(zip(ks.tolist(), offs.tolist())) | set(self.EDGES))
         ks, offs = (np.array(col[::-1], dtype=np.int64) for col in zip(*pairs))
-        assert _count_rectangles(ks, offs) == [(k, a, 1) for k, a in pairs]
+        assert _count_rectangles(ks, offs, np.zeros(ks.size, np.int8)) == [(k, a, 1) for k, a in pairs]
 
     def test_grouping_matches_lexicographic_unique(self):
         gen = RandomSource.from_seed(81).gen
@@ -213,7 +213,28 @@ class TestHeapNodes:
         ks, offs = np.concatenate([ks, edges[:, 0]]), np.concatenate([offs, edges[:, 1]])
         uniq, counts = np.unique(np.stack([ks, offs], axis=1), axis=0, return_counts=True)
         expected = [(int(k), int(a), int(c)) for (k, a), c in zip(uniq, counts)]
-        assert _count_rectangles(ks, offs) == expected
+        assert _count_rectangles(ks, offs, np.zeros(ks.size, np.int8)) == expected
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH - 1])
+    def test_bins_cut_into_runs_match_a_call_per_bin(self, depth):
+        # a node at depth 62 leaves one key bit for the bin, so seven bins
+        # group in runs of two (of four at depth 61)
+        gen = RandomSource.from_seed(82).gen
+        sizes = [40, 1, 25, 60, 3, 17, 9]
+        which = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        pool = np.array([(0, 0), (1, 0), (5, 11), (depth, 0), (depth, 12345), (depth, 2 ** (depth - 1) - 1)])
+        ks, offs = pool[gen.integers(0, len(pool), which.size)].T
+        bad = np.zeros(which.size, dtype=bool)
+
+        def no_redraw(j):
+            raise AssertionError(f"bin {j} has no flagged point")
+
+        expected = []
+        for j in range(len(sizes)):
+            sel = which == j
+            expected += collect_triples(ks[sel], offs[sel], bad[sel], no_redraw)
+        assert max(k for k, _, _ in expected) == depth
+        assert collect_triples(ks, offs, bad, no_redraw, which=which) == expected
 
 
 class TestTripleCodec:
@@ -222,7 +243,7 @@ class TestTripleCodec:
         xs = TRI.cdf_inverse(rng.gen.random(400))
         ys = rng.gen.random(400) * TRI.pdf(xs)
         sink = BitSink()
-        write_triples(collect_triples(*locate_batch(xs, ys, TRI), lambda: (TRI, rng.child("retry"))), sink)
+        write_triples(collect_triples(*locate_batch(xs, ys, TRI), lambda _: (TRI, rng.child("retry"))), sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
         triples = decode_triples(src, 400)
         assert src.bits_remaining == 0
@@ -387,7 +408,7 @@ class TestResampling:
         rng = RandomSource.from_seed(71)
         xs = STEEP_UNIT.cdf_inverse(rng.gen.random(5000))
         ys = rng.gen.random(5000) * STEEP_UNIT.pdf(xs)
-        triples = collect_triples(*locate_batch(xs, ys, STEEP_UNIT), lambda: (STEEP_UNIT, rng.child("retry")))
+        triples = collect_triples(*locate_batch(xs, ys, STEEP_UNIT), lambda _: (STEEP_UNIT, rng.child("retry")))
         assert sum(c for _, _, c in triples) == 5000
         assert max(k for k, _, _ in triples) <= MAX_DEPTH
 

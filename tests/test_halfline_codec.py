@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dsim import dyadic_codec
+from dsim import dyadic_codec, halfline_codec
 from dsim.bitcodes import (
     SCHEME_HALFLINE,
     BitSink,
@@ -209,8 +209,11 @@ class TestScheme:
         assert ok, f"KS={stat:.4f}"
 
 
-def per_bin_reference(f, n, rng):
-    """The encoder as one unit stream per occupied bin, each in its own pass."""
+def per_bin_reference(f, n, rng, normalised=True):
+    """The encoder as one unit stream per occupied bin, each in its own pass.
+    A bin's draws are located against its normalised law, or, if not
+    normalised, against f shifted into the bin; redraws come from the
+    normalised law."""
     values = f.sample(rng.child("values"), n)
     bins = np.floor(values).astype(np.int64) + 1
     sink = encode_multiset(bins)
@@ -219,9 +222,10 @@ def per_bin_reference(f, n, rng):
     order = np.argsort(bins, kind="stable")
     uniq, starts = np.unique(bins[order], return_index=True)
     for i, xs in zip(uniq.tolist(), np.split((values - (bins - 1))[order], starts[1:])):
-        restricted = restrict_to_bin(f, i)
-        ys = heights.random(xs.size) * restricted.pdf(xs)
-        write_triples(collect_triples(*locate_batch(xs, ys, restricted), lambda: (restricted, retry.child(i))), sink)
+        law, shift = (restrict_to_bin(f, i), 0.0) if normalised else (f, i - 1.0)
+        ys = heights.random(xs.size) * law.pdf(xs + shift)
+        write_triples(collect_triples(*locate_batch(xs, ys, law, shift=shift),
+                                      lambda _: (restrict_to_bin(f, i), retry.child(i))), sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
 
@@ -260,16 +264,20 @@ def restarting_power(alpha=1.0 / 16.0, bins=3):
 
 RESTART = restarting_power()
 
+# A bin of exp(lambda=1e-17) holds less mass than the ulp of its cdf, so the
+# reference cannot normalise it.  Nearly every draw has a bin to itself, and
+# the reference makes a pass per bin, so that law runs at small n only.
+PER_BIN_CASES = ([(f, n, True) for n in (1, 7, 1000, 30000)
+                  for f in (EXP1, exponential(0.01), exponential(2.0**58), pareto_flat(2.0, 2.0), pareto_flat(1.5, 1.2))]
+                 + [(exponential(1e-17), n, False) for n in (1, 7, 1000)])
+
 
 class TestOnePassEncoder:
-    @pytest.mark.parametrize("f", [EXP1, exponential(0.01), exponential(2.0**58),
-                                   pareto_flat(2.0, 2.0), pareto_flat(1.5, 1.2)],
-                             ids=lambda f: f.name)
-    @pytest.mark.parametrize("n", [1, 7, 1000, 30000])
-    def test_matches_per_bin_reference(self, f, n):
+    @pytest.mark.parametrize("f, n, normalised", PER_BIN_CASES, ids=[f"{n}-{f.name}" for f, n, _ in PER_BIN_CASES])
+    def test_matches_per_bin_reference(self, f, n, normalised):
         for seed in (0, 1):
             rng = RandomSource.from_seed(seed)
-            assert simulate(f, n, rng) == per_bin_reference(f, n, rng)
+            assert simulate(f, n, rng) == per_bin_reference(f, n, rng, normalised)
 
     def test_matches_per_bin_reference_past_16_bit_bins(self):
         # bins beyond 2**16 take the int64 sort rather than the 16-bit one
@@ -309,6 +317,23 @@ class TestOnePassEncoder:
             if dyadic_codec.locate_batch(xs, ys, restricted)[2].any():
                 stuck.append(i)
         assert stuck == [2, 3]
+
+    def test_one_grouping_and_one_write_redraw_only_stuck_bins(self, monkeypatch):
+        # the bins of test_resampling_bins_are_found, and no other, build a
+        # normalised law and a retry source, each keyed by a Python int
+        calls, built, retries = [], [], []
+        for name in ("collect_triples", "write_triples"):
+            original = getattr(halfline_codec, name)
+            monkeypatch.setattr(halfline_codec, name, lambda *args, _name=name, _original=original, **kwargs:
+                                calls.append(_name) or _original(*args, **kwargs))
+        restrict, child = halfline_codec.restrict_to_bin, RandomSource.child
+        monkeypatch.setattr(halfline_codec, "restrict_to_bin", lambda f, i: built.append(i) or restrict(f, i))
+        monkeypatch.setattr(RandomSource, "child", lambda self, *path: (
+            path[0] == "retry" and retries.append(path[1:])) or child(self, *path))
+        simulate(RESTART, 1000, RandomSource.from_seed(3))
+        assert calls == ["collect_triples", "write_triples"]
+        assert built == [2, 3] and all(type(i) is int for i in built)
+        assert retries == [(2,), (3,)]
 
     @pytest.mark.parametrize("n", [1000, 30000])
     def test_matches_per_bin_reference_when_bins_resample(self, n):
