@@ -107,9 +107,7 @@ class BitSource:
 
     __slots__ = ("_bits", "_pos")
 
-    def __init__(self, data: bytes, bit_length: int | None = None, bit_offset: int = 0):
-        if bit_length is None:
-            bit_length = 8 * len(data) - bit_offset
+    def __init__(self, data: bytes, bit_length: int, bit_offset: int = 0):
         if bit_offset < 0 or bit_length < 0 or bit_offset + bit_length > 8 * len(data):
             raise ValueError("bit window exceeds the buffer")
         chunk = data[bit_offset >> 3:(bit_offset + bit_length + 7) >> 3]

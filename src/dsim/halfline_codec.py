@@ -8,20 +8,21 @@ of the encoder's own draws already have the restricted law conditioned on
 the bin, so they are reused as hypograph x-coordinates and only the heights
 are drawn fresh.
 
-The encoder works on all bins in one pass: it sorts the draws by bin, draws
-every height at once and locates every point with one locator call against
-f shifted into its bin, unnormalised: scaling a bin's density scales its
-heights alike.  The call takes each bin's left end and each point's bin as
-arrays; a bin's density is 0 past 1, so R(0, 0)'s lower edge is 0.  One
-collect_triples call groups every bin and one write_triples call writes
-them.  Only a bin with a point that no rectangle up to MAX_DEPTH catches
-builds its normalised law (restrict_to_bin), for collect_triples to redraw
-that point.  The bytes are those of one stream per bin in turn.
+The encoder works on all bins in one pass: one sort of the draws by bin
+gives the multiset's runs, one draw gives every height, and one locator
+call places every point against f shifted into its bin, unnormalised:
+scaling a bin's density scales its heights alike.  The call takes each
+bin's left end and each point's bin as arrays; a bin's density is 0 past
+1, so R(0, 0)'s lower edge is 0.  One collect_triples call groups every
+bin and one write_triples call writes them, in bin order.  Only a bin with
+a point that no rectangle up to MAX_DEPTH catches builds its normalised
+law (restrict_to_bin), for collect_triples to redraw that point.
 
 The decoder never evaluates the density: it reads the integer payload as runs,
 each occupied bin with its count, and within-bin positions come from the
 rectangle indices alone.  It reads each bin's triples in turn and expands all
-of them with one draw.
+of them with one draw; a bin's left end plus a position that rounds up to
+its right end is clamped back inside the bin.
 """
 
 from __future__ import annotations
@@ -105,7 +106,6 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     if not values.max(initial=0.0) < 2.0**63:  # its bin would pass 2**63 - 1
         raise ValueError(f"{f.name} drew a value past bin 2**63 - 1")
     bins = np.floor(values).astype(np.int64) + 1
-    sink = encode_multiset(bins)
     # a stable sort keeps each bin's draws in draw order; numpy radix-sorts
     # 16-bit keys, about four times faster than int64 ones at n = 10**6
     small = bins.max(initial=0) <= 1 << 16
@@ -115,6 +115,7 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     edges = np.append(np.flatnonzero(np.diff(bins, prepend=0)), n)
     uniq = bins[edges[:-1]]
     del bins
+    sink = encode_multiset(uniq, np.diff(edges))
     # per bin, its left end; per point, its bin
     shift = (uniq - 1).astype(float)
     which = np.repeat(np.arange(uniq.size, dtype=np.int32), np.diff(edges))
@@ -144,6 +145,10 @@ def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:
     uniq, counts, triples = read_container(data, SCHEME_HALFLINE, _read_bins)
     # one draw of all the uniforms equals the per-bin draws in bin order
     out = points_from_triples(triples, rng.child("points").gen)
-    out += np.repeat(uniq.astype(float) - 1.0, counts)
+    # the encoder's i - 1 = floor(X) is a double, and left + frac may round up
+    # to i: clamp to the last double below i, or to left if none lies between
+    left = (uniq - 1).astype(float)
+    out += np.repeat(left, counts)
+    np.minimum(out, np.repeat(np.maximum(left, np.nextafter(uniq.astype(float), -np.inf)), counts), out=out)
     rng.child("order").gen.shuffle(out)
     return out

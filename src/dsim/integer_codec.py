@@ -9,7 +9,8 @@ positive difference, or "0" followed by gamma(j) for a run of j zero
 differences (j maximal, so a positive difference or the end of the multiset
 follows); the empty multiset has the empty codeword.  The decoder needs the
 count n, which the container header carries, so no terminator is spent inside
-the payload; it returns the distinct values and their multiplicities.
+the payload.  Both directions carry the multiset as runs, its distinct values
+in increasing order and their multiplicities, so a scheme sorts its draws once.
 """
 
 from __future__ import annotations
@@ -33,17 +34,16 @@ from .rng import RandomSource
 __all__ = ["encode_multiset", "decode_multiset", "simulate", "desimulate"]
 
 
-def encode_multiset(values) -> BitSink:
-    """The codeword for a multiset of integers in [1, 2**63 - 1]."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("multiset must be a 1-d collection")
-    if arr.size and arr.min() < 1:
-        raise ValueError("multiset values must be >= 1")
+def encode_multiset(values, counts) -> BitSink:
+    """The codeword of the runs decode_multiset returns: increasing values in [1, 2**63 - 1], counts."""
+    values = np.asarray(values, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if values.ndim != 1 or values.shape != counts.shape:
+        raise ValueError("runs must be two 1-d collections of one length")
+    if values.size and (values[0] < 1 or counts.min() < 1 or not (values[1:] > values[:-1]).all()):
+        raise ValueError("runs need increasing values >= 1 and counts >= 1")
     sink = BitSink()
-    uniq, counts = np.unique(arr, return_counts=True)
-    gaps = np.diff(uniq, prepend=0)
-    for j, (gap, m) in enumerate(zip(gaps.tolist(), counts.tolist())):
+    for j, (gap, m) in enumerate(zip(np.diff(values, prepend=0).tolist(), counts.tolist())):
         if j:
             sink.write_bit(1)
         gamma_encode(gap, sink)
@@ -90,8 +90,8 @@ def simulate(dist, n: int, rng: RandomSource) -> tuple[bytes, np.ndarray]:
         raise ValueError(f"the int scheme needs an integer distribution, got {dist!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    values = dist.sample(rng.child("values"), n)
-    return write_container(SCHEME_INTEGER, n, encode_multiset(values)), np.sort(values)
+    uniq, counts = np.unique(dist.sample(rng.child("values"), n), return_counts=True)
+    return write_container(SCHEME_INTEGER, n, encode_multiset(uniq, counts)), np.repeat(uniq, counts)
 
 
 def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Test-only references: the scalar rectangle locator, the oracle for
-dyadic_codec.locate_batch, and '0'/'1' string views of the bit streams."""
+dyadic_codec.locate_batch, '0'/'1' string views of the bit streams, and the
+runs of a multiset."""
+
+import numpy as np
 
 from dsim.bitcodes import BitSink, BitSource
 from dsim.dyadic_codec import MAX_DEPTH, DepthExceededError
@@ -48,3 +51,9 @@ def to_bitstring(sink: BitSink) -> str:
     """The bits written to sink, as a '0'/'1' string."""
     data = sink.to_bytes()
     return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")[:sink.bit_length]
+
+
+def runs(values) -> tuple[np.ndarray, np.ndarray]:
+    """A multiset of integers as encode_multiset takes it: its increasing
+    distinct values and their multiplicities."""
+    return np.unique(np.asarray(values, dtype=np.int64), return_counts=True)

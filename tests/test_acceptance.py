@@ -33,6 +33,7 @@ from dsim.dyadic_codec import locate_batch, rect_area, rect_bounds
 from dsim.dyadic_codec import simulate as unit_simulate
 from dsim.integer_codec import decode_multiset, encode_multiset
 from dsim.rng import RandomSource
+from oracles import runs
 
 
 @contextmanager
@@ -74,7 +75,7 @@ def test_criterion_1_reference_frequency_table(capsys):
         counts = {1: 7040, 2: 2056, 3: 641, 4: 184, 5: 53, 6: 13, 7: 9, 8: 3, 9: 1}
         values = np.repeat(list(counts), list(counts.values()))
         assert values.size == 10**4
-        sink = encode_multiset(values)
+        sink = encode_multiset(*runs(values))
         constructed = sink.bit_length
         accounted = formula_accounting(values)
         assert constructed == 135, f"constructed length {constructed} != 135"
@@ -92,7 +93,7 @@ def test_criterion_2_thousand_lossless_round_trips(capsys):
         root = RandomSource.from_seed(314159)
         for t, n in enumerate(sizes):
             values = dists[t % 2].sample(root.child("case", t), int(n))
-            sink = encode_multiset(values)
+            sink = encode_multiset(*runs(values))
             decoded = np.repeat(*decode_multiset(BitSource(sink.to_bytes(), sink.bit_length), int(n)))
             assert np.array_equal(decoded, np.sort(values)), f"case {t} corrupted"
         elapsed = time.monotonic() - start

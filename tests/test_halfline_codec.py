@@ -22,8 +22,19 @@ from dsim.dyadic_codec import collect_triples, locate_batch, write_triples
 from dsim.halfline_codec import desimulate, restrict_to_bin, simulate
 from dsim.integer_codec import decode_multiset, encode_multiset
 from dsim.rng import RandomSource
+from oracles import runs
 
 EXP1 = exponential(1.0)
+
+
+def sent_bins(data):
+    """The bin of every value in a half-line container, as its multiset says."""
+    def bins_only(source, n):
+        bins = decode_multiset(source, n)
+        source.read_bits(source.bits_remaining)  # the bins' triples follow the multiset
+        return bins
+
+    return np.repeat(*read_container(data, SCHEME_HALFLINE, bins_only))
 
 
 class TestRestriction:
@@ -112,16 +123,28 @@ class TestScheme:
     def test_bin_counts_preserved(self):
         # the decoded values land in exactly the bins the encoder transmitted
         data = simulate(EXP1, 2000, RandomSource.from_seed(30))
-
-        def bins_only(source, n):
-            runs = decode_multiset(source, n)
-            source.read_bits(source.bits_remaining)  # the bins' triples follow the multiset
-            return runs
-
-        sent_bins = np.repeat(*read_container(data, SCHEME_HALFLINE, bins_only))
         out = desimulate(data, RandomSource.from_seed(31))
         got_bins = np.sort(np.floor(out).astype(np.int64) + 1)
-        assert np.array_equal(got_bins, sent_bins)
+        assert np.array_equal(got_bins, sent_bins(data))
+
+    @pytest.mark.parametrize("lam", [1e-17, 1e-15])
+    def test_far_bins_decode_inside_their_bin(self, lam):
+        # below 2**53 a bin's left end plus a fraction near 1 can round up to
+        # its right end, and in [2**53, 2**54) float(i) - 1.0 can miss i - 1;
+        # these laws put thousands of draws there
+        data = simulate(exponential(lam), 20000, RandomSource.from_seed(0))
+        out = desimulate(data, RandomSource.from_seed(100))
+        assert np.array_equal(np.sort(np.floor(out).astype(np.int64) + 1), sent_bins(data))
+
+    def test_fraction_rounding_up_to_the_right_end_is_clamped(self):
+        # R(54, 2**53 - 1) lies in [1 - 2**-53, 1 - 2**-54]; 1 plus any of it
+        # rounds to 2.0, the right end of bin 2
+        sink = encode_multiset([2], [1])
+        shifted_gamma_encode(54, sink)
+        shifted_gamma_encode(2**53 - 1, sink)
+        gamma_encode(1, sink)
+        out = desimulate(write_container(SCHEME_HALFLINE, 1, sink), RandomSource.from_seed(1))
+        assert out.tolist() == [np.nextafter(2.0, 0.0)]
 
     def test_deterministic(self):
         a = simulate(EXP1, 800, RandomSource.from_seed(5))
@@ -154,7 +177,7 @@ class TestScheme:
             desimulate(data, RandomSource.from_seed(1))
 
     def test_rejects_deep_triple_inside_a_bin(self):
-        sink = encode_multiset([2, 2, 2])
+        sink = encode_multiset(*runs([2, 2, 2]))
         shifted_gamma_encode(5000, sink)
         shifted_gamma_encode(0, sink)
         gamma_encode(3, sink)
@@ -164,7 +187,7 @@ class TestScheme:
 
     def test_rejects_offset_holding_no_double(self):
         # R(62, 2**61 - 1) would decode to 4.0, outside bin [3, 4)
-        sink = encode_multiset([4, 4, 4])
+        sink = encode_multiset(*runs([4, 4, 4]))
         shifted_gamma_encode(62, sink)
         shifted_gamma_encode(2**61 - 1, sink)
         gamma_encode(3, sink)
@@ -216,7 +239,7 @@ def per_bin_reference(f, n, rng, normalised=True):
     normalised law."""
     values = f.sample(rng.child("values"), n)
     bins = np.floor(values).astype(np.int64) + 1
-    sink = encode_multiset(bins)
+    sink = encode_multiset(*runs(bins))
     heights = rng.child("heights").gen
     retry = rng.child("retry")
     order = np.argsort(bins, kind="stable")

@@ -22,11 +22,11 @@ from dsim.bitcodes import (
 from dsim.distributions import geometric, zipf
 from dsim.integer_codec import decode_multiset, desimulate, encode_multiset, simulate
 from dsim.rng import RandomSource
-from oracles import from_bitstring, to_bitstring
+from oracles import from_bitstring, runs, to_bitstring
 
 
 def encode_to_bitstring(values) -> str:
-    return to_bitstring(encode_multiset(values))
+    return to_bitstring(encode_multiset(*runs(values)))
 
 
 def decode_bitstring(s: str, n: int) -> list[int]:
@@ -66,7 +66,7 @@ class TestKnownCodewords:
 
     def test_point_mass_payload(self):
         # one hundred copies of 1: gamma(1) + "0" + gamma(99) = 1 + 1 + 13
-        sink = encode_multiset([1] * 100)
+        sink = encode_multiset(*runs([1] * 100))
         assert sink.bit_length == 15
 
 
@@ -75,11 +75,11 @@ class TestTableOfCounts:
 
     def test_constructed_length(self):
         values = np.repeat(np.arange(1, 10), self.FREQS)
-        assert encode_multiset(values).bit_length == 135
+        assert encode_multiset(*runs(values)).bit_length == 135
 
     def test_round_trip(self):
         values = np.repeat(np.arange(1, 10), self.FREQS)
-        sink = encode_multiset(values)
+        sink = encode_multiset(*runs(values))
         src = BitSource(sink.to_bytes(), sink.bit_length)
         assert np.array_equal(np.repeat(*decode_multiset(src, values.size)), np.sort(values))
         assert src.bits_remaining == 0
@@ -89,7 +89,7 @@ class TestRoundTrip:
     @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=300))
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_multisets(self, values):
-        sink = encode_multiset(values)
+        sink = encode_multiset(*runs(values))
         src = BitSource(sink.to_bytes(), sink.bit_length)
         assert np.repeat(*decode_multiset(src, len(values))).tolist() == sorted(values)
         assert src.bits_remaining == 0
@@ -97,12 +97,21 @@ class TestRoundTrip:
     @given(st.lists(st.integers(MAX_VALUE - 3, MAX_VALUE), min_size=1, max_size=8))
     @settings(max_examples=50)
     def test_extreme_values(self, values):
-        sink = encode_multiset(values)
+        sink = encode_multiset(*runs(values))
         src = BitSource(sink.to_bytes(), sink.bit_length)
         assert np.repeat(*decode_multiset(src, len(values))).tolist() == sorted(values)
 
+    @given(st.dictionaries(st.integers(1, 2**62), st.integers(1, 10**6), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_decoded_runs_rewrite_the_payload(self, multiplicity):
+        # the runs decode_multiset returns are what encode_multiset takes
+        values = sorted(multiplicity)
+        s = to_bitstring(encode_multiset(values, [multiplicity[v] for v in values]))
+        again = encode_multiset(*decode_multiset(from_bitstring(s), sum(multiplicity.values())))
+        assert to_bitstring(again) == s
+
     def test_streams_compose(self):
-        src = from_bitstring(to_bitstring(encode_multiset([4, 4, 7])) + to_bitstring(encode_multiset([1, 100])))
+        src = from_bitstring(encode_to_bitstring([4, 4, 7]) + encode_to_bitstring([1, 100]))
         assert np.repeat(*decode_multiset(src, 3)).tolist() == [4, 4, 7]
         assert np.repeat(*decode_multiset(src, 2)).tolist() == [1, 100]
         assert src.bits_remaining == 0
@@ -110,19 +119,36 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_empty_multiset_has_the_empty_codeword(self):
-        assert encode_multiset([]).bit_length == 0
+        assert encode_multiset([], []).bit_length == 0
         with pytest.raises(ValueError):
-            encode_multiset([[1, 2]])
+            encode_multiset([[1, 2]], [[1, 1]])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            encode_multiset([3, 0])
+            encode_multiset(*runs([3, 0]))
         with pytest.raises(ValueError):
-            encode_multiset([-2])
+            encode_multiset(*runs([-2]))
+
+    @pytest.mark.parametrize("values, counts", [
+        ([3, 2], [1, 1]),  # out of order
+        ([2, 2], [1, 1]),  # a value repeated
+        ([2, -2**63 + 1], [1, 1]),  # out of order, by a difference that wraps in int64
+        ([0, 2], [1, 1]),  # below 1
+        ([-5], [2]),
+        ([1, 2], [1, 0]),  # a count below 1
+        ([4], [-1]),
+        ([1, 2], [1]),  # mismatched lengths
+        ([1], [1, 1]),
+        (3, 1),  # not 1-d
+        ([[1, 2]], [1, 1]),
+    ])
+    def test_bad_runs_rejected(self, values, counts):
+        with pytest.raises(ValueError):
+            encode_multiset(values, counts)
 
     def test_too_large_rejected(self):
         with pytest.raises((ValueError, OverflowError)):
-            encode_multiset([MAX_VALUE + 1])
+            encode_multiset([MAX_VALUE + 1], [1])
 
     def test_decode_of_zero_values_reads_no_bit(self):
         src = from_bitstring("1")
@@ -183,6 +209,13 @@ class TestScheme:
         assert out.size == 5000
         assert np.array_equal(np.sort(out), retained)
 
+    def test_retained_multiset_is_the_sorted_draws(self):
+        dist = geometric(0.7)
+        _, retained = simulate(dist, 5000, RandomSource.from_seed(3))
+        draws = dist.sample(RandomSource.from_seed(3).child("values"), 5000)
+        assert retained.dtype == np.int64
+        assert np.array_equal(retained, np.sort(draws))
+
     def test_header_fields(self):
         data, _ = simulate(zipf(3.0), 128, RandomSource.from_seed(9))
         header = read_header(data)
@@ -214,7 +247,7 @@ class TestScheme:
         # three distinct values admit 6 orderings; check uniformity over seeds
         from dsim.bounds_analysis import chi_square
 
-        sink = encode_multiset([1, 2, 3])
+        sink = encode_multiset(*runs([1, 2, 3]))
         from dsim.bitcodes import SCHEME_INTEGER, write_container
 
         data = write_container(SCHEME_INTEGER, 3, sink)
@@ -237,7 +270,7 @@ class TestScheme:
             desimulate(data, RandomSource.from_seed(1))
 
     def test_rejects_trailing_payload_bits(self):
-        sink = encode_multiset([1, 2])
+        sink = encode_multiset(*runs([1, 2]))
         sink.write_bit(1)  # stray bit after the complete multiset
         from dsim.bitcodes import SCHEME_INTEGER, write_container
 
