@@ -16,13 +16,17 @@ which is the order of their heap nodes 2**(k-1) + a (node 0 for k = 0), each
 as shifted-gamma(k), shifted-gamma(a), gamma(count).  For this scheme and
 the half-line scheme, collect_triples is the one path from located points to
 triples and write_triples the one writer of that layout; each takes every
-half-line bin in one call, their triples in bin order.  No rectangle lies
-deeper than MAX_DEPTH, the only depth: the locator searches every depth up
-to it, collect_triples redraws the rare point that none catches, and the
-decoder rejects deeper triples.
+half-line bin in one call, their triples in bin order.  The encoders locate
+CHUNK points per locator call and keep only counts, so the unit encoder's
+memory does not grow with n.  No rectangle lies deeper than MAX_DEPTH, the
+only depth: the locator searches every depth up to it, collect_triples
+redraws the rare point that none catches, and the decoder rejects deeper
+triples.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .distributions import MonotonePdf
 from .rng import RandomSource
 
 __all__ = [
+    "CHUNK",
     "MAX_DEPTH",
     "RETRY_BUDGET",
     "DepthExceededError",
@@ -57,6 +62,7 @@ __all__ = [
 
 MAX_DEPTH = 62
 RETRY_BUDGET = 100
+CHUNK = 1 << 18  # the points an encoder draws, locates and counts at a time
 
 
 class DepthExceededError(ValueError):
@@ -165,62 +171,79 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, shift=0.0, which=0):
     return ks, offs, ks < 0
 
 
-def _hypograph_draw(f, gen, size: int):
+def _hypograph_draw(f, gen, heights, size: int):
     xs = f.cdf_inverse(gen.random(size))
-    ys = gen.random(size) * f.pdf(xs)
+    ys = heights.random(size) * f.pdf(xs)
     return xs, ys
 
 
-def collect_triples(ks, offs, bad, resample_from, *, which=None) -> list[tuple[int, int, int]]:
+def collect_triples(located, resample_from) -> list[tuple[int, int, int]]:
     """(k, a, count) triples of located hypograph points, bin by bin in (k, a) order.
 
-    ks, offs and bad are locate_batch's output, and which is the non-decreasing
-    bin of each point that locate_batch took (bin 0 for every point without
-    it).  The points that bad flags are replaced, in place, by fresh hypograph
-    draws, which leaves the encoded law unchanged.  resample_from(j) returns
-    (f, retry_rng) for the draws of bin j; it is called once for each bin with
-    a flagged point, in bin order.  DepthExceededError is raised if some are
-    still uncaught after RETRY_BUDGET rounds.
+    located yields locate_batch's (ks, offs, bad) for runs of points, each with
+    its non-decreasing bins if it took which.  Only counts are kept; after the
+    last run fresh hypograph draws replace the points bad flags, which leaves
+    the law unchanged: resample_from(j) gives (f, retry_rng) for bin j, once per
+    bin with such a point, in bin order.  DepthExceededError is raised if some
+    are still unplaced after RETRY_BUDGET rounds.
     """
-    which = np.zeros(ks.size, dtype=np.int8) if which is None else which
-    for j in dict.fromkeys(which[bad].tolist()):
-        lo, hi = np.searchsorted(which, (j, j + 1))
+    counted, unplaced = [], {}
+    for ks, offs, bad, *which in located:
+        which = which[0] if which else np.zeros(ks.size, dtype=np.int8)
+        if bad.any():
+            for j, u in zip(*(a.tolist() for a in np.unique(which[bad], return_counts=True))):
+                unplaced[j] = unplaced.get(j, 0) + u
+            ks, offs, which = ks[~bad], offs[~bad], which[~bad]
+        counted.append(_count_rectangles(ks, offs, which))
+        # merge once the newer counts outweigh the merged ones, so each is merged O(log n) times
+        if sum(c[2].size for c in counted[1:]) >= counted[0][2].size:
+            counted = [_merged(counted)]
+    for j, u in unplaced.items():
         f, retry_rng = resample_from(j)
-        k, off, b = ks[lo:hi], offs[lo:hi], bad[lo:hi]
         for _ in range(RETRY_BUDGET):
-            idx = np.flatnonzero(b)
-            rx, ry = _hypograph_draw(f, retry_rng.gen, idx.size)
-            k[idx], off[idx], b[idx] = locate_batch(rx, ry, f)
-            if not b.any():
+            ks, offs, bad = locate_batch(*_hypograph_draw(f, retry_rng.gen, retry_rng.gen, u), f)
+            u = int(np.count_nonzero(bad))
+            counted.append(_count_rectangles(ks[~bad], offs[~bad], np.full(ks.size - u, j)))
+            if not u:
                 break
         else:
             raise DepthExceededError(f"depth budget still exhausted after {RETRY_BUDGET} resamples")
-    return _count_rectangles(ks, offs, which)
+    _, nodes, counts = _merged(counted or [(np.zeros(0, dtype=np.int64),) * 3])
+    return [(node.bit_length(), node - (1 << node.bit_length() >> 1), count)
+            for node, count in zip(nodes.tolist(), counts.tolist())]
 
 
-def _count_rectangles(ks: np.ndarray, offs: np.ndarray, which: np.ndarray) -> list[tuple[int, int, int]]:
-    """(k, a, count) of each distinct rectangle, bin by bin in (k, a) order.
+def _count_rectangles(ks: np.ndarray, offs: np.ndarray, which: np.ndarray):
+    """(bins, nodes, counts) of the distinct (bin, rectangle) pairs, in bin then node order.
 
     R(k, a) is heap node 2**(k-1) + a (node 0 for k = 0).  Depth k fills the
     nodes [2**(k-1), 2**k), so node order is (k, a) order, and a node's bit
-    length is its depth.  A key puts the bin above the deepest node's bits,
-    so one np.unique sorts every bin; only where a key would pass 63 bits
-    are the bins cut into runs of 2**(63 - depth).
+    length is its depth.  A key puts the bin, from the first in which, above
+    the deepest node's bits, so one np.unique sorts every bin; only where a
+    key would pass 63 bits are the bins cut into runs of 2**(63 - depth).
     """
     keys = np.left_shift(1, ks - 1, out=np.zeros_like(ks), where=ks > 0)
     keys += offs
     depth = int(ks.max(initial=0))
-    bins = int(which[-1]) + 1 if which.size else 0
+    first, end = (int(which[0]), int(which[-1]) + 1) if which.size else (0, 1)
     out = []
-    for first in range(0, bins, 1 << (63 - depth)):
-        lo, hi = np.searchsorted(which, (first, min(first + (1 << (63 - depth)), bins)))
-        if bins > 1:  # a lone bin needs no rank; << reuses the int64 temporary
-            keys[lo:hi] += np.subtract(which[lo:hi], first, dtype=np.int64) << depth
+    for lo_bin in range(first, end, 1 << (63 - depth)):
+        lo, hi = np.searchsorted(which, (lo_bin, min(lo_bin + (1 << (63 - depth)), end)))
+        if end - first > 1:  # a lone bin needs no rank; << reuses the int64 temporary
+            keys[lo:hi] += np.subtract(which[lo:hi], lo_bin, dtype=np.int64) << depth
         uniq, counts = np.unique(keys[lo:hi], return_counts=True)
-        for key, count in zip(uniq.tolist(), counts.tolist()):
-            node = key & ((1 << depth) - 1)
-            out.append((node.bit_length(), node - (1 << node.bit_length() >> 1), count))
-    return out
+        out.append(((uniq >> depth) + lo_bin, uniq & ((1 << depth) - 1), counts))
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def _merged(parts):
+    """One (bins, nodes, counts) whose counts sum those of equal (bin, node) pairs in parts."""
+    if len(parts) == 1:
+        return parts[0]
+    bins, nodes, counts = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((nodes, bins))
+    first = np.flatnonzero(np.diff(bins[order], prepend=-1) | np.diff(nodes[order], prepend=-1))
+    return bins[order[first]], nodes[order[first]], np.add.reduceat(counts[order], first)
 
 
 def write_triples(triples, sink: BitSink) -> None:
@@ -271,9 +294,13 @@ def simulate(f, n: int, rng: RandomSource) -> bytes:
         raise ValueError(f"the unit scheme needs a density on [0, 1], got {f!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
+    gen = rng.child("points").gen
+    # the x uniforms are the stream's first n doubles and the heights its next n
+    heights = gen if n <= CHUNK else np.random.Generator(copy.deepcopy(gen.bit_generator).advance(n))
+    located = (locate_batch(*_hypograph_draw(f, gen, heights, min(CHUNK, n - lo)), f)
+               for lo in range(0, n, CHUNK))
     sink = BitSink()
-    xs, ys = _hypograph_draw(f, rng.child("points").gen, n)
-    write_triples(collect_triples(*locate_batch(xs, ys, f), lambda _: (f, rng.child("retry"))), sink)
+    write_triples(collect_triples(located, lambda _: (f, rng.child("retry"))), sink)
     return write_container(SCHEME_UNIT, n, sink)
 
 

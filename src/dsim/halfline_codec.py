@@ -9,14 +9,15 @@ the bin, so they are reused as hypograph x-coordinates and only the heights
 are drawn fresh.
 
 The encoder works on all bins in one pass: one sort of the draws by bin
-gives the multiset's runs, one draw gives every height, and one locator
-call places every point against f shifted into its bin, unnormalised:
-scaling a bin's density scales its heights alike.  The call takes each
-bin's left end and each point's bin as arrays; a bin's density is 0 past
-1, so R(0, 0)'s lower edge is 0.  One collect_triples call groups every
-bin and one write_triples call writes them, in bin order.  Only a bin with
-a point that no rectangle up to MAX_DEPTH catches builds its normalised
-law (restrict_to_bin), for collect_triples to redraw that point.
+gives the multiset's runs, then for each dyadic_codec.CHUNK of sorted draws
+a slice of one draw gives the heights and one locator call places the points
+against f shifted into their bins, unnormalised: scaling a bin's density
+scales its heights alike.  The call takes the left ends of the chunk's bins
+and each point's bin as arrays; a bin's density is 0 past 1, so R(0, 0)'s
+lower edge is 0.  One collect_triples call counts every chunk and one
+write_triples call writes every bin, in bin order.  Only a bin with a point
+that no rectangle up to MAX_DEPTH catches builds its normalised law
+(restrict_to_bin), for collect_triples to redraw that point.
 
 The decoder never evaluates the density: it reads the integer payload as runs,
 each occupied bin with its count, and within-bin positions come from the
@@ -29,11 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitcodes import (
-    SCHEME_HALFLINE,
-    read_container,
-    write_container,
-)
+from .bitcodes import SCHEME_HALFLINE, FormatError, read_container, write_container
 from .distributions import MonotonePdf
 from . import dyadic_codec
 from .dyadic_codec import (
@@ -121,15 +118,17 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     which = np.repeat(np.arange(uniq.size, dtype=np.int32), np.diff(edges))
     values = values[order]
     del order
-    # one draw of all the heights equals the per-bin draws in bin order
-    ys = rng.child("heights").gen.random(n)
-    ys *= f.pdf(values)
-    xs = values - shift[which]  # each draw's position inside its bin, exactly
-    del values
-    # called through the module, so a wrapper installed there sees the call
-    ks, offs, unresolved = dyadic_codec.locate_batch(xs, ys, f, shift=shift, which=which)
-    del xs, ys
-    write_triples(collect_triples(ks, offs, unresolved, which=which, resample_from=lambda j: (
+    heights = rng.child("heights").gen  # its slices in turn are the per-bin draws in bin order
+
+    def located():  # through the module, so a wrapper installed there sees each call
+        for lo in range(0, n, dyadic_codec.CHUNK):
+            v, w = values[lo:lo + dyadic_codec.CHUNK], which[lo:lo + dyadic_codec.CHUNK]
+            ys = heights.random(v.size) * f.pdf(v)
+            # each draw's position inside its bin is exact; the run's bins are w[0] to w[-1]
+            yield *dyadic_codec.locate_batch(v - shift[w], ys, f, shift=shift[w[0]:w[-1] + 1],
+                                             which=w - w[0]), w
+
+    write_triples(collect_triples(located(), lambda j: (
         restrict_to_bin(f, int(uniq[j])), rng.child("retry", int(uniq[j])))), sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
@@ -137,6 +136,9 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
 def _read_bins(source, n: int):
     """The payload as (bins, their counts, every bin's triples in bin order)."""
     uniq, counts = decode_multiset(source, n)
+    # an encoder's left end floor(X) is a double: cast back, clamped below 2**63
+    if np.any(np.minimum((uniq - 1).astype(float), np.nextafter(2.0**63, 0.0)).astype(np.int64) != uniq - 1):
+        raise FormatError("a bin's left end is not a double")
     return uniq, counts, [t for count in counts.tolist() for t in decode_triples(source, count)]
 
 

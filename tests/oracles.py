@@ -1,11 +1,14 @@
 """Test-only references: the scalar rectangle locator, the oracle for
-dyadic_codec.locate_batch, '0'/'1' string views of the bit streams, and the
-runs of a multiset."""
+dyadic_codec.locate_batch, '0'/'1' string views of the bit streams, the
+runs of a multiset, and one-shot reference encoders of the unit and
+half-line schemes."""
 
 import numpy as np
 
-from dsim.bitcodes import BitSink, BitSource
-from dsim.dyadic_codec import MAX_DEPTH, DepthExceededError
+from dsim.bitcodes import SCHEME_HALFLINE, SCHEME_UNIT, BitSink, BitSource, write_container
+from dsim.dyadic_codec import MAX_DEPTH, RETRY_BUDGET, DepthExceededError, locate_batch, write_triples
+from dsim.halfline_codec import restrict_to_bin
+from dsim.integer_codec import encode_multiset
 
 
 def locate(x: float, y: float, f) -> tuple[int, int]:
@@ -57,3 +60,58 @@ def runs(values) -> tuple[np.ndarray, np.ndarray]:
     """A multiset of integers as encode_multiset takes it: its increasing
     distinct values and their multiplicities."""
     return np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
+
+
+def one_shot_triples(ks, offs, bad, which, resample_from) -> list[tuple[int, int, int]]:
+    """(k, a, count) triples in (bin, k, a) order of points located all at once.
+
+    Bin by bin, each flagged point is replaced in place by a fresh hypograph
+    draw from resample_from(j) = (f, retry_rng), round after round, before one
+    sort groups every point.
+    """
+    for j in dict.fromkeys(which[bad].tolist()):
+        sel = np.flatnonzero(which == j)
+        f, retry_rng = resample_from(j)
+        for _ in range(RETRY_BUDGET):
+            idx = sel[bad[sel]]
+            rx = f.cdf_inverse(retry_rng.gen.random(idx.size))
+            ry = retry_rng.gen.random(idx.size) * f.pdf(rx)
+            ks[idx], offs[idx], bad[idx] = locate_batch(rx, ry, f)
+            if not bad[sel].any():
+                break
+        else:
+            raise DepthExceededError(f"depth budget still exhausted after {RETRY_BUDGET} resamples")
+    rows = np.stack([which, ks, offs])[:, np.lexsort((offs, ks, which))]
+    first = np.flatnonzero(np.diff(rows, prepend=-1).any(axis=0))
+    counts = np.diff(first, append=rows.shape[1])
+    return [(k, a, c) for (_, k, a), c in zip(rows[:, first].T.tolist(), counts.tolist())]
+
+
+def unit_reference(f, n: int, rng) -> bytes:
+    """The unit scheme's container with every point drawn and located at once:
+    the x uniforms are the points stream's first n doubles, the heights its next n."""
+    gen = rng.child("points").gen
+    xs = f.cdf_inverse(gen.random(n))
+    ys = gen.random(n) * f.pdf(xs)
+    sink = BitSink()
+    write_triples(one_shot_triples(*locate_batch(xs, ys, f), np.zeros(n, dtype=np.int64),
+                                   lambda _: (f, rng.child("retry"))), sink)
+    return write_container(SCHEME_UNIT, n, sink)
+
+
+def halfline_reference(f, n: int, rng) -> bytes:
+    """The half-line scheme's container with every point located at once: the
+    draws sorted stably by bin, one draw of every height in that order."""
+    values = f.sample(rng.child("values"), n)
+    bins = np.floor(values).astype(np.int64) + 1
+    order = np.argsort(bins, kind="stable")
+    uniq, counts = runs(bins)
+    sink = encode_multiset(uniq, counts)
+    which = np.repeat(np.arange(uniq.size), counts)
+    shift = (uniq - 1).astype(float)
+    values = values[order]
+    ys = rng.child("heights").gen.random(n) * f.pdf(values)
+    located = locate_batch(values - shift[which], ys, f, shift=shift, which=which)
+    write_triples(one_shot_triples(*located, which, lambda j: (
+        restrict_to_bin(f, int(uniq[j])), rng.child("retry", int(uniq[j])))), sink)
+    return write_container(SCHEME_HALFLINE, n, sink)

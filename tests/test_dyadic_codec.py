@@ -25,7 +25,6 @@ from dsim.distributions import MonotonePdf, exponential, pareto_flat, triangular
 from dsim.dyadic_codec import (
     MAX_DEPTH,
     DepthExceededError,
-    _count_rectangles,
     collect_triples,
     decode_triples,
     desimulate,
@@ -38,7 +37,7 @@ from dsim.dyadic_codec import (
 )
 from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
-from oracles import from_bitstring, locate
+from oracles import from_bitstring, halfline_reference, locate, unit_reference
 
 TRI = triangular()
 # A steep law puts about 3% of its hypograph points beyond depth MAX_DEPTH, so
@@ -193,6 +192,15 @@ def single_triple(k: int, a: int, count: int) -> BitSink:
     return sink
 
 
+def no_redraw(j):
+    raise AssertionError(f"bin {j} has no flagged point")
+
+
+def grouped(ks, offs):
+    """collect_triples of points that all lie in a rectangle, as one run in bin 0."""
+    return collect_triples([(ks, offs, np.zeros(ks.size, dtype=bool))], no_redraw)
+
+
 class TestHeapNodes:
     EDGES = [(0, 0), (1, 0), (62, 0), (62, 2**61 - 2**8)]
 
@@ -202,7 +210,7 @@ class TestHeapNodes:
         offs = gen.integers(0, np.left_shift(1, ks - 1))
         pairs = sorted(set(zip(ks.tolist(), offs.tolist())) | set(self.EDGES))
         ks, offs = (np.array(col[::-1], dtype=np.int64) for col in zip(*pairs))
-        assert _count_rectangles(ks, offs, np.zeros(ks.size, np.int8)) == [(k, a, 1) for k, a in pairs]
+        assert grouped(ks, offs) == [(k, a, 1) for k, a in pairs]
 
     def test_grouping_matches_lexicographic_unique(self):
         gen = RandomSource.from_seed(81).gen
@@ -213,7 +221,11 @@ class TestHeapNodes:
         ks, offs = np.concatenate([ks, edges[:, 0]]), np.concatenate([offs, edges[:, 1]])
         uniq, counts = np.unique(np.stack([ks, offs], axis=1), axis=0, return_counts=True)
         expected = [(int(k), int(a), int(c)) for (k, a), c in zip(uniq, counts)]
-        assert _count_rectangles(ks, offs, np.zeros(ks.size, np.int8)) == expected
+        assert grouped(ks, offs) == expected
+        # counted in runs of a few hundred points, the counts merge to the same triples
+        bad = np.zeros(ks.size, dtype=bool)
+        assert collect_triples([(ks[i:i + 700], offs[i:i + 700], bad[i:i + 700])
+                                for i in range(0, ks.size, 700)], no_redraw) == expected
 
     @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH - 1])
     def test_bins_cut_into_runs_match_a_call_per_bin(self, depth):
@@ -225,16 +237,16 @@ class TestHeapNodes:
         pool = np.array([(0, 0), (1, 0), (5, 11), (depth, 0), (depth, 12345), (depth, 2 ** (depth - 1) - 1)])
         ks, offs = pool[gen.integers(0, len(pool), which.size)].T
         bad = np.zeros(which.size, dtype=bool)
-
-        def no_redraw(j):
-            raise AssertionError(f"bin {j} has no flagged point")
-
         expected = []
         for j in range(len(sizes)):
             sel = which == j
-            expected += collect_triples(ks[sel], offs[sel], bad[sel], no_redraw)
+            expected += grouped(ks[sel], offs[sel])
         assert max(k for k, _, _ in expected) == depth
-        assert collect_triples(ks, offs, bad, no_redraw, which=which) == expected
+        assert collect_triples([(ks, offs, bad, which)], no_redraw) == expected
+        # runs that cut bins 0, 3 and 5 apart, and an empty last run, count each bin once
+        cuts = [0, 30, 70, 100, 140, 155]
+        assert collect_triples([(ks[i:j], offs[i:j], bad[i:j], which[i:j])
+                                for i, j in zip(cuts, cuts[1:] + [which.size])], no_redraw) == expected
 
 
 class TestTripleCodec:
@@ -243,7 +255,7 @@ class TestTripleCodec:
         xs = TRI.cdf_inverse(rng.gen.random(400))
         ys = rng.gen.random(400) * TRI.pdf(xs)
         sink = BitSink()
-        write_triples(collect_triples(*locate_batch(xs, ys, TRI), lambda _: (TRI, rng.child("retry"))), sink)
+        write_triples(collect_triples([locate_batch(xs, ys, TRI)], lambda _: (TRI, rng.child("retry"))), sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
         triples = decode_triples(src, 400)
         assert src.bits_remaining == 0
@@ -408,7 +420,7 @@ class TestResampling:
         rng = RandomSource.from_seed(71)
         xs = STEEP_UNIT.cdf_inverse(rng.gen.random(5000))
         ys = rng.gen.random(5000) * STEEP_UNIT.pdf(xs)
-        triples = collect_triples(*locate_batch(xs, ys, STEEP_UNIT), lambda _: (STEEP_UNIT, rng.child("retry")))
+        triples = collect_triples([locate_batch(xs, ys, STEEP_UNIT)], lambda _: (STEEP_UNIT, rng.child("retry")))
         assert sum(c for _, _, c in triples) == 5000
         assert max(k for k, _, _ in triples) <= MAX_DEPTH
 
@@ -438,6 +450,54 @@ class TestResampling:
         # the unit law is the exponential's bin 1, which holds all but e**-(2**58) of its mass
         stat, ok = ks_two_sample(out, STEEP_HALFLINE.sample(RandomSource.from_seed(74), n))
         assert ok, f"KS={stat:.4f}"
+
+
+CHUNK_CASES = [(codec, f, reference, n)
+               for codec, f, reference in [(dyadic_codec, TRI, unit_reference),
+                                           (halfline_codec, pareto_flat(2.0, 2.0), halfline_reference)]
+               for n in (0, 1, dyadic_codec.CHUNK - 1, dyadic_codec.CHUNK, dyadic_codec.CHUNK + 1,
+                         2 * dyadic_codec.CHUNK + 5)]
+
+
+class TestChunks:
+    @pytest.mark.parametrize("codec, f, reference, n", CHUNK_CASES,
+                             ids=[f"{c[0].__name__.split('.')[-1]}-{c[3]}" for c in CHUNK_CASES])
+    def test_containers_match_the_one_shot_reference(self, codec, f, reference, n):
+        rng = RandomSource.from_seed(n % 1000)
+        assert codec.simulate(f, n, rng) == reference(f, n, rng)
+
+    @pytest.mark.parametrize("codec, f, reference", [(dyadic_codec, STEEP_UNIT, unit_reference),
+                                                     (halfline_codec, STEEP_HALFLINE, halfline_reference)],
+                             ids=["unit", "halfline"])
+    @pytest.mark.parametrize("n", [3000, 5000])
+    def test_redraws_after_small_chunks_match_the_one_shot_reference(self, monkeypatch, codec, f, reference, n):
+        # chunks of 2**10 points leave unresolved points in several of them,
+        # which are all redrawn after the last
+        unresolved = []
+        original = dyadic_codec.locate_batch
+
+        def recording(xs, *args, **kwargs):
+            out = original(xs, *args, **kwargs)
+            unresolved.append((np.size(xs), int(out[2].sum())))
+            return out
+
+        monkeypatch.setattr(dyadic_codec, "CHUNK", 2**10)
+        monkeypatch.setattr(dyadic_codec, "locate_batch", recording)
+        for seed in (0, 1):
+            rng = RandomSource.from_seed(seed)
+            del unresolved[:]
+            data = codec.simulate(f, n, rng)
+            chunks = unresolved[:-(-n // 2**10)]
+            assert [size for size, _ in chunks] == [2**10] * (n // 2**10) + [n % 2**10]
+            assert sum(bad > 0 for _, bad in chunks) > 1
+            assert data == reference(f, n, rng)
+
+    def test_unit_stream_of_a_million_derives_only_its_points_source(self, monkeypatch):
+        labels = []
+        child = RandomSource.child
+        monkeypatch.setattr(RandomSource, "child", lambda self, *path: labels.append(path) or child(self, *path))
+        simulate(TRI, 10**6, RandomSource.from_seed(75))
+        assert labels == [("points",)]
 
 
 # Step edges lie on multiples of 1/GRID: some dyadic (1/4, 1/2, the half-line

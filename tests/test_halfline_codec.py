@@ -22,7 +22,7 @@ from dsim.dyadic_codec import collect_triples, locate_batch, write_triples
 from dsim.halfline_codec import desimulate, restrict_to_bin, simulate
 from dsim.integer_codec import decode_multiset, encode_multiset
 from dsim.rng import RandomSource
-from oracles import runs
+from oracles import halfline_reference, runs
 
 EXP1 = exponential(1.0)
 
@@ -195,6 +195,17 @@ class TestScheme:
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
+    @pytest.mark.parametrize("i", [2**53 + 2, 2**62 + 3, 2**63 - 1])
+    def test_rejects_bin_whose_left_end_is_no_double(self, i):
+        # i - 1 lies between two doubles: the samples would round to another
+        # bin (or, for the last bin, to 2**63, past every bin)
+        sink = encode_multiset([i], [2])
+        shifted_gamma_encode(0, sink)
+        shifted_gamma_encode(0, sink)
+        gamma_encode(2, sink)
+        with pytest.raises(FormatError, match="left end"):
+            desimulate(write_container(SCHEME_HALFLINE, 2, sink), RandomSource.from_seed(1))
+
     def test_law_with_bins_past_2_54_round_trips(self):
         # past 2**54 both ends of a unit bin round to one double, so a cdf
         # difference gives the bin no mass; the encoder needs none
@@ -247,7 +258,7 @@ def per_bin_reference(f, n, rng, normalised=True):
     for i, xs in zip(uniq.tolist(), np.split((values - (bins - 1))[order], starts[1:])):
         law, shift = (restrict_to_bin(f, i), 0.0) if normalised else (f, i - 1.0)
         ys = heights.random(xs.size) * law.pdf(xs + shift)
-        write_triples(collect_triples(*locate_batch(xs, ys, law, shift=shift),
+        write_triples(collect_triples([locate_batch(xs, ys, law, shift=shift)],
                                       lambda _: (restrict_to_bin(f, i), retry.child(i))), sink)
     return write_container(SCHEME_HALFLINE, n, sink)
 
@@ -366,3 +377,12 @@ class TestOnePassEncoder:
             assert data == per_bin_reference(RESTART, n, rng)
             out = desimulate(data, RandomSource.from_seed(seed + 10))
             assert out.size == n and np.all((out >= 0.0) & (out < 3.0))
+
+    @pytest.mark.parametrize("f", [RESTART, exponential(1e-17)], ids=lambda f: f.name)
+    def test_small_chunks_match_the_one_shot_reference(self, monkeypatch, f):
+        # chunks of 2**10 points cut bins apart (RESTART's three, each redrawn
+        # in part) or hold about a thousand bins each (exp(1e-17))
+        monkeypatch.setattr(dyadic_codec, "CHUNK", 2**10)
+        for seed in (3, 4):
+            rng = RandomSource.from_seed(seed)
+            assert simulate(f, 3000, rng) == halfline_reference(f, 3000, rng)
