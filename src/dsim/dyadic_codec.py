@@ -16,12 +16,12 @@ which is the order of their heap nodes 2**(k-1) + a (node 0 for k = 0), each
 as shifted-gamma(k), shifted-gamma(a), gamma(count).  For this scheme and
 the half-line scheme, collect_triples is the one path from located points to
 triples and write_triples the one writer of that layout; each takes every
-half-line bin in one call, their triples in bin order.  The encoders locate
-CHUNK points per locator call and keep only counts, so the unit encoder's
-memory does not grow with n.  No rectangle lies deeper than MAX_DEPTH, the
-only depth: the locator searches every depth up to it, collect_triples
-redraws the rare point that none catches, and the decoder rejects deeper
-triples.
+half-line bin in one call, their triples in bin order; collect_triples keeps
+only counts of the CHUNK points each locator call places, so the unit
+encoder's memory does not grow with n.  No rectangle lies deeper than
+MAX_DEPTH, the only depth: the locator searches every depth up to it,
+collect_triples redraws the rare point that none catches, and the decoder
+rejects deeper triples.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def _count_rectangles(ks: np.ndarray, offs: np.ndarray, which: np.ndarray):
             keys[lo:hi] += np.subtract(which[lo:hi], lo_bin, dtype=np.int64) << depth
         uniq, counts = np.unique(keys[lo:hi], return_counts=True)
         out.append(((uniq >> depth) + lo_bin, uniq & ((1 << depth) - 1), counts))
-    return tuple(np.concatenate(col) for col in zip(*out))
+    return out[0] if len(out) == 1 else tuple(np.concatenate(col) for col in zip(*out))
 
 
 def _merged(parts):
@@ -294,8 +294,7 @@ def simulate(f, n: int, rng: RandomSource) -> bytes:
         raise ValueError(f"the unit scheme needs a density on [0, 1], got {f!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    gen = rng.child("points").gen
-    # the x uniforms are the stream's first n doubles and the heights its next n
+    gen = rng.child("points").gen  # the x uniforms are its first n doubles, the heights its next n
     heights = gen if n <= CHUNK else np.random.Generator(copy.deepcopy(gen.bit_generator).advance(n))
     located = (locate_batch(*_hypograph_draw(f, gen, heights, min(CHUNK, n - lo)), f)
                for lo in range(0, n, CHUNK))

@@ -8,16 +8,16 @@ of the encoder's own draws already have the restricted law conditioned on
 the bin, so they are reused as hypograph x-coordinates and only the heights
 are drawn fresh.
 
-The encoder works on all bins in one pass: one sort of the draws by bin
-gives the multiset's runs, then for each dyadic_codec.CHUNK of sorted draws
-a slice of one draw gives the heights and one locator call places the points
-against f shifted into their bins, unnormalised: scaling a bin's density
-scales its heights alike.  The call takes the left ends of the chunk's bins
-and each point's bin as arrays; a bin's density is 0 past 1, so R(0, 0)'s
-lower edge is 0.  One collect_triples call counts every chunk and one
-write_triples call writes every bin, in bin order.  Only a bin with a point
-that no rectangle up to MAX_DEPTH catches builds its normalised law
-(restrict_to_bin), for collect_triples to redraw that point.
+The encoder draws its values dyadic_codec.CHUNK at a time, then works on all
+bins in one pass: one sort of the draws by bin gives the multiset's runs, and
+for each chunk of sorted draws a slice of one draw gives the heights and one
+locator call places the points against f shifted into their bins,
+unnormalised: scaling a bin's density scales its heights alike.  The call
+takes the left ends of the chunk's bins and each point's bin as arrays; a
+bin's density is 0 past 1, so R(0, 0)'s lower edge is 0.  One collect_triples
+call counts every chunk and one write_triples call writes every bin, in bin
+order.  Only a bin with a point that no rectangle up to MAX_DEPTH catches
+builds its normalised law (restrict_to_bin), for collect_triples to redraw it.
 
 The decoder never evaluates the density: it reads the integer payload as runs,
 each occupied bin with its count, and within-bin positions come from the
@@ -99,7 +99,9 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
         raise ValueError(f"the half-line scheme needs a density on [0, inf), got {f!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    values = f.sample(rng.child("values"), n)
+    source, values = rng.child("values"), np.empty(n)
+    for lo in range(0, n, dyadic_codec.CHUNK):  # chunks draw the same values with fewer temporaries
+        values[lo:lo + dyadic_codec.CHUNK] = f.sample(source, min(dyadic_codec.CHUNK, n - lo))
     if not values.max(initial=0.0) < 2.0**63:  # its bin would pass 2**63 - 1
         raise ValueError(f"{f.name} drew a value past bin 2**63 - 1")
     bins = np.floor(values).astype(np.int64) + 1
@@ -109,7 +111,7 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     order = np.argsort((bins - 1).astype(np.uint16) if small else bins, kind="stable")
     bins = bins[order]
     # the runs of the sorted bins; bins are >= 1, so the first one starts a run
-    edges = np.append(np.flatnonzero(np.diff(bins, prepend=0)), n)
+    edges = np.append(np.flatnonzero(np.concatenate((bins[:1] > 0, bins[1:] != bins[:-1]))), n)
     uniq = bins[edges[:-1]]
     del bins
     sink = encode_multiset(uniq, np.diff(edges))
@@ -136,8 +138,8 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
 def _read_bins(source, n: int):
     """The payload as (bins, their counts, every bin's triples in bin order)."""
     uniq, counts = decode_multiset(source, n)
-    # an encoder's left end floor(X) is a double: cast back, clamped below 2**63
-    if np.any(np.minimum((uniq - 1).astype(float), np.nextafter(2.0**63, 0.0)).astype(np.int64) != uniq - 1):
+    # an encoder's left end floor(X) is a double, as every integer below 2**53 is
+    if any(float(left) != left for left in (uniq[uniq > 1 << 53] - 1).tolist()):
         raise FormatError("a bin's left end is not a double")
     return uniq, counts, [t for count in counts.tolist() for t in decode_triples(source, count)]
 

@@ -95,13 +95,15 @@ def test_containers_at_a_million_are_pinned():
 
 
 # The tracemalloc peak of one encode at n = 10**6 may grow by at most 10% over
-# 23.3 MiB (unit) and 52.6 MiB (half-line), read on numpy 2.4.6.  The unit
+# 23.3 MiB (unit) and 30.5 MiB (half-line), read on numpy 2.4.6.  The unit
 # encoder draws, locates and counts dyadic_codec.CHUNK points at a time, so
 # its peak no longer grows with n (71.5 MiB when it located every point at
-# once).  Per-bin density tables in the half-line locator, built at every
-# depth, peaked at 112.5 MiB; the locator builds its per-bin grid only at a
-# depth where it is smaller than the points it serves.
-MEMORY_BOUNDS = [(dyadic_codec, triangular(), 23.3), (halfline_codec, pareto_flat(2.0, 2.0), 52.6)]
+# once); the half-line encoder draws and locates in the same chunks, and its
+# one bin sort of all n draws sets its peak (43.9 MiB when it drew and
+# located every point at once).  Per-bin density tables in the half-line
+# locator, built at every depth, peaked at 112.5 MiB; the locator builds its
+# per-bin grid only at a depth where it is smaller than the points it serves.
+MEMORY_BOUNDS = [(dyadic_codec, triangular(), 23.3), (halfline_codec, pareto_flat(2.0, 2.0), 30.5)]
 
 
 def encode_peak(codec, dist, n: int) -> int:
