@@ -9,15 +9,17 @@ the bin, so they are reused as hypograph x-coordinates and only the heights
 are drawn fresh.
 
 The encoder draws its values dyadic_codec.CHUNK at a time, then works on all
-bins in one pass: one sort of the draws by bin gives the multiset's runs, and
-for each chunk of sorted draws a slice of one draw gives the heights and one
-locator call places the points against f shifted into their bins,
-unnormalised: scaling a bin's density scales its heights alike.  The call
-takes the left ends of the chunk's bins and each point's bin as arrays; a
-bin's density is 0 past 1, so R(0, 0)'s lower edge is 0.  One collect_triples
-call counts every chunk and one write_triples call writes every bin, in bin
-order.  Only a bin with a point that no rectangle up to MAX_DEPTH catches
-builds its normalised law (restrict_to_bin), for collect_triples to redraw it.
+bins in one pass: one stable sort of the draws' bin keys gives their bin
+order and the multiset's runs.  Each chunk gathers its draws through that
+order and takes their bins from the runs it meets; a slice of one draw gives
+the heights, and one locator call places the points against f shifted into
+their bins, unnormalised: scaling a bin's density scales its heights alike.
+The call takes the left ends of the chunk's bins and each point's bin as
+arrays; a bin's density is 0 past 1, so R(0, 0)'s lower edge is 0.  One
+collect_triples call counts every chunk and one write_triples call writes
+every bin, in bin order.  Only a bin with a point that no rectangle up to
+MAX_DEPTH catches builds its normalised law (restrict_to_bin), for
+collect_triples to redraw it.
 
 The decoder never evaluates the density: it reads the integer payload as runs,
 each occupied bin with its count, and within-bin positions come from the
@@ -102,33 +104,36 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     source, values = rng.child("values"), np.empty(n)
     for lo in range(0, n, dyadic_codec.CHUNK):  # chunks draw the same values with fewer temporaries
         values[lo:lo + dyadic_codec.CHUNK] = f.sample(source, min(dyadic_codec.CHUNK, n - lo))
-    if not values.max(initial=0.0) < 2.0**63:  # its bin would pass 2**63 - 1
-        raise ValueError(f"{f.name} drew a value past bin 2**63 - 1")
-    bins = np.floor(values).astype(np.int64) + 1
-    # a stable sort keeps each bin's draws in draw order; numpy radix-sorts
-    # 16-bit keys, about four times faster than int64 ones at n = 10**6
-    small = bins.max(initial=0) <= 1 << 16
-    order = np.argsort((bins - 1).astype(np.uint16) if small else bins, kind="stable")
-    bins = bins[order]
-    # the runs of the sorted bins; bins are >= 1, so the first one starts a run
-    edges = np.append(np.flatnonzero(np.concatenate((bins[:1] > 0, bins[1:] != bins[:-1]))), n)
-    uniq = bins[edges[:-1]]
-    del bins
+    top = values.max(initial=0.0)
+    if not (top < 2.0**63 and values.min(initial=0.0) >= 0.0):  # bins run from 1 to 2**63 - 1
+        raise ValueError(f"{f.name} drew a value outside bins 1 to 2**63 - 1")
+    # a stable sort of floor(X) keeps each bin's draws in draw order; numpy
+    # radix-sorts 16-bit keys, about four times faster than int64 ones at
+    # n = 10**6, and a cast to uint16 floors the draws, which are >= 0
+    key = values.astype(np.uint16) if top < 2**16 else np.floor(values).astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    key = key.take(order)
+    # the runs of the sorted keys, each an occupied bin i = floor(X) + 1
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    uniq = key.take(starts).astype(np.int64) + 1
+    del key
+    edges = np.append(starts, n)
     sink = encode_multiset(uniq, np.diff(edges))
-    # per bin, its left end; per point, its bin
-    shift = (uniq - 1).astype(float)
-    which = np.repeat(np.arange(uniq.size, dtype=np.int32), np.diff(edges))
-    values = values[order]
-    del order
+    shift = (uniq - 1).astype(float)  # per bin, its left end
     heights = rng.child("heights").gen  # its slices in turn are the per-bin draws in bin order
 
     def located():  # through the module, so a wrapper installed there sees each call
         for lo in range(0, n, dyadic_codec.CHUNK):
-            v, w = values[lo:lo + dyadic_codec.CHUNK], which[lo:lo + dyadic_codec.CHUNK]
+            v = values.take(order[lo:lo + dyadic_codec.CHUNK])
+            # per point, its bin: the runs j0 to j1 - 1 meet the chunk, clipped to it
+            j0, j1 = np.searchsorted(edges, lo, "right") - 1, np.searchsorted(edges, lo + v.size)
+            w = np.repeat(np.arange(j1 - j0, dtype=np.int32), np.diff(edges[j0:j1 + 1].clip(lo, lo + v.size)))
             ys = heights.random(v.size) * f.pdf(v)
-            # each draw's position inside its bin is exact; the run's bins are w[0] to w[-1]
-            yield *dyadic_codec.locate_batch(v - shift[w], ys, f, shift=shift[w[0]:w[-1] + 1],
-                                             which=w - w[0]), w
+            # each draw's position inside its bin is exact
+            yield *dyadic_codec.locate_batch(v - shift[j0:j1].take(w), ys, f, shift=shift[j0:j1],
+                                             which=w), w + j0
 
     write_triples(collect_triples(located(), lambda j: (
         restrict_to_bin(f, int(uniq[j])), rng.child("retry", int(uniq[j])))), sink)

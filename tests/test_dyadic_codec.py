@@ -455,8 +455,8 @@ class TestResampling:
 CHUNK_CASES = [(codec, f, reference, n)
                for codec, f, reference in [(dyadic_codec, TRI, unit_reference),
                                            (halfline_codec, pareto_flat(2.0, 2.0), halfline_reference)]
-               for n in (0, 1, dyadic_codec.CHUNK - 1, dyadic_codec.CHUNK, dyadic_codec.CHUNK + 1,
-                         2 * dyadic_codec.CHUNK + 5)]
+               for n in (0, 1, *(m * dyadic_codec.CHUNK + d for m in (1, 4) for d in (-1, 0, 1)),
+                         8 * dyadic_codec.CHUNK + 5)]
 
 
 class TestChunks:

@@ -232,6 +232,14 @@ class TestScheme:
             simulate(far, 20, RandomSource.from_seed(1))
         assert any(entry.name == "collect_triples" for entry in caught.traceback)
 
+    @pytest.mark.parametrize("below", [0.5, 1.5, 7e4])
+    def test_negative_draw_rejected(self, below):
+        # a cast to 16-bit bin keys would wrap a negative draw into a bin
+        shifted = MonotonePdf("shifted", "halfline", EXP1.pdf, EXP1.cdf, lambda u: EXP1.cdf_inverse(u) - below,
+                              f0=1.0)
+        with pytest.raises(ValueError, match="outside bins 1 to 2"):
+            simulate(shifted, 1000, RandomSource.from_seed(0))
+
     def test_output_law_single_seed(self):
         from dsim.bounds_analysis import ks_two_sample
 
@@ -386,3 +394,26 @@ class TestOnePassEncoder:
         for seed in (3, 4):
             rng = RandomSource.from_seed(seed)
             assert simulate(f, 3000, rng) == halfline_reference(f, 3000, rng)
+
+    @pytest.mark.parametrize("f, n", [(f, n) for f in (exponential(1e-17), pareto_flat(2.0, 2.0))
+                                      for n in (0, 1, 2**10, 2**10 + 1)] + [(pareto_flat(2.0, 2.0), 12000)],
+                             ids=lambda v: v.name if isinstance(v, MonotonePdf) else str(v))
+    def test_chunk_bin_slices_match_the_one_shot_reference(self, monkeypatch, f, n):
+        # each chunk takes its bins from the runs it meets, clipped to it: one
+        # bin per draw (exp(1e-17)), or, at n = 12000, pareto_flat's bin 1
+        # with about 3,300 draws across four chunks of 2**10
+        monkeypatch.setattr(dyadic_codec, "CHUNK", 2**10)
+        for seed in (3, 4):
+            rng = RandomSource.from_seed(seed)
+            assert simulate(f, n, rng) == halfline_reference(f, n, rng)
+
+    def test_chunk_edge_on_a_run_start_matches_the_one_shot_reference(self, monkeypatch):
+        monkeypatch.setattr(dyadic_codec, "CHUNK", 2**10)
+        for seed in (3, 4):
+            rng = RandomSource.from_seed(seed)
+            # the n whose last draw is the 2**10-th in bin 1: that bin's run
+            # fills the first chunk, and bin 2's run starts the second
+            draws = EXP1.sample(rng.child("values"), 2**12)
+            n = int(np.flatnonzero(draws < 1.0)[2**10 - 1]) + 1
+            assert n > 2**10
+            assert simulate(EXP1, n, rng) == halfline_reference(EXP1, n, rng)

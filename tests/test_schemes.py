@@ -1,16 +1,23 @@
 """Properties shared by the three schemes: pinned container bytes, the
-encoders' memory at n = 10**6 (and the unit encoder's at 10**7), the checks
-every codec makes on the kind of handle it is given and on the scheme of the
-container it decodes, the empty stream, and decoding of corrupted payloads."""
+encoders' memory at n = 10**6 (and the unit encoder's at 10**7), the unit
+encoder's page faults, the checks every codec makes on the kind of handle it
+is given and on the scheme of the container it decodes, the empty stream, and
+decoding of corrupted payloads."""
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsim
 from dsim import desimulate_any, dyadic_codec, halfline_codec, integer_codec, simulate_any
 from dsim.bitcodes import (
     SCHEME_HALFLINE,
@@ -95,15 +102,17 @@ def test_containers_at_a_million_are_pinned():
 
 
 # The tracemalloc peak of one encode at n = 10**6 may grow by at most 10% over
-# 23.3 MiB (unit) and 30.5 MiB (half-line), read on numpy 2.4.6.  The unit
-# encoder draws, locates and counts dyadic_codec.CHUNK points at a time, so
-# its peak no longer grows with n (71.5 MiB when it located every point at
-# once); the half-line encoder draws and locates in the same chunks, and its
-# one bin sort of all n draws sets its peak (43.9 MiB when it drew and
-# located every point at once).  Per-bin density tables in the half-line
-# locator, built at every depth, peaked at 112.5 MiB; the locator builds its
-# per-bin grid only at a depth where it is smaller than the points it serves.
-MEMORY_BOUNDS = [(dyadic_codec, triangular(), 23.3), (halfline_codec, pareto_flat(2.0, 2.0), 30.5)]
+# 5.9 MiB (unit) and 20.6 MiB (half-line), read on numpy 2.4.6.  The unit
+# encoder draws, locates and counts dyadic_codec.CHUNK points at a time, so its
+# peak is one chunk's temporaries and does not grow with n (71.5 MiB when it
+# located every point at once, 23.3 MiB in chunks of 2**18).  The half-line
+# encoder's peak is its n draws, their stable sort order and their 16-bit bin
+# keys (43.9 MiB when it drew and located every point at once, 30.5 MiB when
+# it also kept an int64 bin and a bin-sorted copy of every draw).  Per-bin
+# density tables in the half-line locator, built at every depth, peaked at
+# 112.5 MiB; the locator builds its per-bin grid only at a depth where it is
+# smaller than the points it serves.
+MEMORY_BOUNDS = [(dyadic_codec, triangular(), 5.9), (halfline_codec, pareto_flat(2.0, 2.0), 20.6)]
 
 
 def encode_peak(codec, dist, n: int) -> int:
@@ -125,6 +134,39 @@ def test_unit_encode_memory_at_ten_million_keeps_the_bound_of_a_million():
     codec, dist, mib = MEMORY_BOUNDS[0]
     peak = encode_peak(codec, dist, 10**7)
     assert peak <= 1.1 * mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# Minor page faults of the two unit encodes at n = 10**6 that follow an encode
+# and a decode.  Freeing a buffer of 10**6 doubles, which glibc maps on its
+# own, raises glibc's heap trim threshold to twice that size, 16 MB.  One
+# chunk's temporaries (5.9 MiB at CHUNK = 2**16) fit below it, so every chunk
+# reuses the heap pages of the one before: 0-1 faults per encode.  With chunks
+# of 2**18 (23.3 MiB) each chunk gave its pages back to the kernel and faulted
+# them in again: 5,481-8,483 faults per encode.
+FAULT_PROBE = """
+import resource
+from dsim import dyadic_codec
+from dsim.distributions import triangular
+from dsim.rng import RandomSource
+
+def encode(seed):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    data = dyadic_codec.simulate(triangular(), 10**6, RandomSource.from_seed(seed))
+    return data, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+data, _ = encode(0)
+dyadic_codec.desimulate(data, RandomSource.from_seed(1))
+print(encode(1)[1], encode(2)[1])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the fault count follows glibc's heap trimming")
+def test_unit_encodes_reuse_their_heap_pages():
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(dsim.__file__).parents[1])})
+    faults = [int(v) for v in proc.stdout.split()]
+    assert len(faults) == 2 and max(faults) < 1000, faults
 
 
 @pytest.mark.parametrize("codec, dist", [
