@@ -4,6 +4,13 @@ All bit strings are most-significant-bit first: bit i of a stream lives in
 bit (7 - i % 8) of byte i // 8.  Codewords produced here are prefix free, so
 streams written back to back decode unambiguously.
 
+read_gammas is the bulk gamma reader.  One compiled regex splits the bits
+after a BitSource's position into codewords, z zeros, a one and z more bits
+for z <= 62, and at most one error token, the rest of the bits, where none of
+those starts.  It tokenises GAMMA_WINDOW bits at a time, so its tokens stay a
+few MiB at any payload size, and hands each window's values to its caller as
+an int64 array; the caller says where to stop.
+
 read_container is the one framed read of a payload: it accepts a payload only
 when the header names the scheme a codec decodes and the codec's
 parse(source, n) reads it to its last bit.
@@ -11,8 +18,13 @@ parse(source, n) reads it to its last bit.
 
 from __future__ import annotations
 
+import functools
+import re
 import struct
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 __all__ = [
     "MAX_VALUE",
@@ -32,6 +44,8 @@ __all__ = [
     "shifted_gamma_encode",
     "shifted_gamma_decode",
     "shifted_gamma_length",
+    "GAMMA_WINDOW",
+    "read_gammas",
     "write_container",
     "read_header",
     "read_container",
@@ -187,6 +201,53 @@ def shifted_gamma_length(x: int) -> int:
     if x < 0:
         raise ValueError(f"shifted gamma code needs x >= 0, got {x}")
     return gamma_length(x + 1)
+
+
+@functools.cache
+def _gamma_regex() -> re.Pattern:
+    """The tokeniser, compiled on first use: an import that reads no triple skips its 2-4 ms.
+
+    One alternative per zero, nested, keeps a match linear in its length;
+    "." matches a bit, as the string holds only '0' and '1'.
+    """
+    pattern = "1.{62}"
+    for z in range(61, -1, -1):
+        pattern = f"1.{{{z}}}|0(?:{pattern})"
+    return re.compile(f"(?:{pattern})|.+")
+
+
+# A window of bits holds at most one token per bit: at 2**18 its token list
+# and values take at most 2 MiB each.
+GAMMA_WINDOW = 1 << 18
+
+
+def read_gammas(source: BitSource, consume) -> None:
+    """Hand consume the gamma values from source's position on, a window at a time.
+
+    consume(values) takes the int64 values of a window's codewords in stream
+    order and returns None to ask for the next window, or how many of them it
+    used, which leaves source right after the last of those.  A window ends
+    before a malformed codeword; asked for more after it, the read raises what
+    gamma_decode would there: FormatError on 63 zeros in a row, else
+    TruncatedStreamError.
+    """
+    bits, pos = source._bits, source._pos
+    while True:
+        end = min(len(bits), pos + GAMMA_WINDOW)
+        tokens = _gamma_regex().findall(bits, pos, end)
+        # the error token, if any, is the last; a codeword has z zeros, a one, z bits
+        tail = tokens.pop() if tokens and not (
+            len(tokens[-1]) <= 125 and 2 * tokens[-1].find("1") + 1 == len(tokens[-1])) else ""
+        stop = end - len(tail)
+        used = consume(np.fromiter(map(int, tokens, repeat(2)), np.int64, len(tokens)))
+        if used is not None:
+            source._pos = stop - sum(map(len, tokens[used:]))
+            return
+        source._pos = pos = stop
+        if tail.startswith("0" * 63):
+            raise FormatError("gamma prefix longer than any admissible value")
+        if end == len(bits):
+            raise TruncatedStreamError("bit stream exhausted")
 
 
 @dataclass(frozen=True)

@@ -160,11 +160,9 @@ def truncated_payload_bits(data: bytes, k_max: int = 8) -> int:
     must drop their codeword bits too.
     """
     _require(k_max >= 0, "k_max must be >= 0")
-    kept = 0
-    for k, a, count in read_container(data, SCHEME_UNIT, dyadic_codec.decode_triples):
-        if k <= k_max:
-            kept += shifted_gamma_length(k) + shifted_gamma_length(a) + gamma_length(count)
-    return kept
+    rows = read_container(data, SCHEME_UNIT, dyadic_codec.decode_triples)
+    return sum(shifted_gamma_length(k) + shifted_gamma_length(a) + gamma_length(count)
+               for k, a, count in rows[rows[:, 0] <= k_max].tolist())
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,13 @@ encoder's memory does not grow with n.  No rectangle lies deeper than
 MAX_DEPTH, the only depth: the locator searches every depth up to it,
 collect_triples redraws the rare point that none catches, and the decoder
 rejects deeper triples.
+
+decode_triples reads the triples back in bulk, every half-line bin in one
+call, as one (T, 3) int64 array of (k, a, count) rows: bitcodes.read_gammas
+hands it the payload's gamma values a window at a time, and it checks each
+window's rows with a few array operations, raising on the first fault a
+codeword-at-a-time reader would meet.  points_from_triples expands that
+array with one draw.
 """
 
 from __future__ import annotations
@@ -35,10 +42,9 @@ from .bitcodes import (
     BitSink,
     BitSource,
     FormatError,
-    gamma_decode,
     gamma_encode,
     read_container,
-    shifted_gamma_decode,
+    read_gammas,
     shifted_gamma_encode,
     write_container,
 )
@@ -70,6 +76,7 @@ RETRY_BUDGET = 100
 # faulted them in again: a unit encode at n = 10**6 after such a decode took
 # 5,481-8,483 minor faults, against 0-1 at 2**16.
 CHUNK = 1 << 16
+_SHIFT = np.array([1, 1, 0])  # a triple's gamma values less this are (k, a, count)
 
 
 class DepthExceededError(ValueError):
@@ -82,6 +89,24 @@ def _offset_in_range(k: int, a: int) -> bool:
     # least (a + 1) * 2**(1-k)
     return (0 <= k <= MAX_DEPTH and 0 <= a <= ((1 << (k - 1)) - 1 if k else 0)
             and (a < 1 << 53 or float(a) == a))
+
+
+def _bad_offsets(ks: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Indices of the (k, a) pairs of two int64 arrays that _offset_in_range rejects.
+
+    For 0 <= k <= 62, a < max(2**(k-1), 1) exactly when (2a) >> k is 0, an
+    int64 2a wrapping negative for a >= 2**62; up to depth 54 such an a holds
+    a double.
+    """
+    # as unsigned, a negative depth is past 54 too
+    if not ks.size or ks.view(np.uint64).max() <= 54 and not ((offs << 1) >> ks).any():
+        return np.zeros(0, dtype=np.intp)
+    ok = (ks >= 0) & (ks <= MAX_DEPTH)
+    ok &= ((offs << 1) >> ks.clip(0, MAX_DEPTH)) == 0
+    big = np.flatnonzero(ok & (offs >= 1 << 53))
+    a = offs.take(big)  # below 2**61, so its double converts back exactly
+    ok[big] = a.astype(float).astype(np.int64) == a
+    return np.flatnonzero(~ok)
 
 
 def _check_index(k: int, a: int) -> None:
@@ -229,7 +254,7 @@ def _count_rectangles(ks: np.ndarray, offs: np.ndarray, which: np.ndarray):
     the deepest node's bits, so one np.unique sorts every bin; only where a
     key would pass 63 bits are the bins cut into runs of 2**(63 - depth).
     """
-    keys = np.left_shift(1, ks - 1, out=np.zeros_like(ks), where=ks > 0)
+    keys = (np.int64(1) << ks) >> 1
     keys += offs
     depth = int(ks.max(initial=0))
     first, end = (int(which[0]), int(which[-1]) + 1) if which.size else (0, 1)
@@ -261,33 +286,79 @@ def write_triples(triples, sink: BitSink) -> None:
         gamma_encode(count, sink)
 
 
-def decode_triples(source: BitSource, n: int) -> list[tuple[int, int, int]]:
-    """Read (k, a, count) triples until their counts sum to n (none for n = 0)."""
-    if n < 0:
+def decode_triples(source: BitSource, n) -> np.ndarray:
+    """(k, a, count) rows, an int64 array of shape (T, 3), read until their counts sum to n.
+
+    n may instead be a 1-d int64 array of bin totals: each bin's rows in turn,
+    their counts summing to its total.  Rows are checked as a codeword-at-a-time
+    reader would meet them, and the first fault raises: a codeword's own
+    (read_gammas), an R(k, a) deeper than MAX_DEPTH or with an offset its depth
+    does not admit, found before its count is read, or a count that passes its
+    bin's total.  Totals of 0 read no bit.
+    """
+    if np.ndim(n):
+        ends = np.cumsum(n)  # where each bin's counts end
+        negative, total = ends.size and np.min(n) < 0, int(ends[-1]) if ends.size else 0
+    else:
+        ends, negative, total = None, n < 0, int(n)
+    if negative:
         raise ValueError("n must be >= 0")
-    out = []
-    total = 0
-    while total < n:
-        k = shifted_gamma_decode(source)
-        a = shifted_gamma_decode(source)
-        if not _offset_in_range(k, a):
+    if not total:
+        return np.zeros((0, 3), dtype=np.int64)
+    rows, carry, done = [], np.zeros(0, dtype=np.int64), 0
+
+    def consume(values):
+        nonlocal carry, done
+        v = np.concatenate((carry, values)) if carry.size else values
+        m = v.size // 3
+        block = v[:3 * m].reshape(m, 3) - _SHIFT
+        ks, offs, counts = block.T
+        bad = _bad_offsets(ks, offs).tolist()
+        if v.size - 3 * m == 2 and not _offset_in_range(int(v[-2]) - 1, int(v[-1]) - 1):
+            bad.append(m)  # a triple whose count is in the next window
+        # a count past what is left overshoots whatever its size; capped, the
+        # running sums stay increasing, in Python ints where int64 might overflow
+        left = total - done
+        if max(m, 1) * (left + 1) < 1 << 63:
+            reach = np.cumsum(np.minimum(counts, left + 1))
+        else:
+            reach = np.cumsum(counts.astype(object))
+        end = int(np.searchsorted(reach, left))  # where the last bin ends, or a count passes it
+        reach = reach[:end + 1]
+        if ends is not None and ends.size > 1:  # each bin that ends within reach ends on a triple
+            top = min(done + int(reach[-1]), total) if m else done
+            lo, hi = np.searchsorted(ends, (done, top), "right")
+            targets = ends[lo:hi] - done
+            at = np.searchsorted(reach, targets)
+            miss = np.flatnonzero(reach.take(at) != targets)[:1].tolist()
+            end = int(at[miss[0]]) if miss else end
+        else:
+            miss = [end] if end < m and reach[end] != left else []
+        if bad and bad[0] <= end:  # an offset is checked before its count is read
+            k, a = (int(x) - 1 for x in v[3 * bad[0]:3 * bad[0] + 2])
             raise FormatError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
-        count = gamma_decode(source)
-        total += count
-        if total > n:
+        if miss:
             raise FormatError("triple counts overshoot the declared total")
-        out.append((k, a, count))
-    return out
+        rows.append(block[:end + 1])
+        if end < m:
+            return 3 * (end + 1) - carry.size
+        carry = v[3 * m:]
+        done += int(reach[-1]) if m else 0
+        return None
+
+    read_gammas(source, consume)
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def points_from_triples(triples, gen) -> np.ndarray:
-    """Fresh uniforms on each triple's x-interval, concatenated in triple order."""
-    for k, a, _ in triples:
-        _check_index(k, a)
-    ks, offs, counts = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    """Fresh uniforms on each (k, a, count) row's x-interval, concatenated in row order."""
+    ks, offs, counts = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
+    bad = _bad_offsets(ks, offs)
+    if bad.size:
+        raise ValueError(f"no rectangle R(k={ks[bad[0]]}, a={offs[bad[0]]}) at depth <= {MAX_DEPTH}")
     width = np.ldexp(1.0, -ks)
     lo = offs * (2.0 * width)
-    # one draw of all the uniforms equals the per-triple draws in triple order
+    # one draw of all the uniforms equals the per-row draws in row order
     out = gen.random(int(counts.sum()))
     out *= np.repeat(width, counts)
     out += np.repeat(lo, counts)

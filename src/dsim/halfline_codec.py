@@ -23,9 +23,9 @@ collect_triples to redraw it.
 
 The decoder never evaluates the density: it reads the integer payload as runs,
 each occupied bin with its count, and within-bin positions come from the
-rectangle indices alone.  It reads each bin's triples in turn and expands all
-of them with one draw; a bin's left end plus a position that rounds up to
-its right end is clamped back inside the bin.
+rectangle indices alone.  One decode_triples call reads every bin's triples,
+given the bins' counts, and one draw expands them all; a bin's left end plus
+a position that rounds up to its right end is clamped back inside the bin.
 """
 
 from __future__ import annotations
@@ -141,12 +141,12 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
 
 
 def _read_bins(source, n: int):
-    """The payload as (bins, their counts, every bin's triples in bin order)."""
+    """The payload as (bins, their counts, every bin's (k, a, count) rows in bin order)."""
     uniq, counts = decode_multiset(source, n)
     # an encoder's left end floor(X) is a double, as every integer below 2**53 is
     if any(float(left) != left for left in (uniq[uniq > 1 << 53] - 1).tolist()):
         raise FormatError("a bin's left end is not a double")
-    return uniq, counts, [t for count in counts.tolist() for t in decode_triples(source, count)]
+    return uniq, counts, decode_triples(source, counts)
 
 
 def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:

@@ -31,6 +31,18 @@ def _label_hash(label: int | str) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
+def _words(x: int) -> list[int]:
+    # x's 32-bit words, least significant first: SeedSequence splits each int
+    # of a list so, and is handed them as a uint32 array without its own
+    # Python loop over the ints
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    words = [x & 0xFFFFFFFF]
+    while x := x >> 32:
+        words.append(x & 0xFFFFFFFF)
+    return words
+
+
 class RandomSource:
     """A PCG64 generator keyed by a seed plus a path of substream labels."""
 
@@ -38,7 +50,8 @@ class RandomSource:
 
     def __init__(self, key: tuple[int, ...]):
         self._key = tuple(int(k) for k in key)
-        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(self._key))))
+        words = np.array([w for k in self._key for w in _words(k)], dtype=np.uint32)
+        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
     @classmethod
     def from_seed(cls, seed: int) -> "RandomSource":

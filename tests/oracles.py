@@ -1,12 +1,29 @@
 """Test-only references: the scalar rectangle locator, the oracle for
-dyadic_codec.locate_batch, '0'/'1' string views of the bit streams, the
-runs of a multiset, and one-shot reference encoders of the unit and
+dyadic_codec.locate_batch, the codeword-at-a-time triple reader, the oracle
+for dyadic_codec.decode_triples, '0'/'1' string views of the bit streams,
+the runs of a multiset, and one-shot reference encoders of the unit and
 half-line schemes."""
 
 import numpy as np
 
-from dsim.bitcodes import SCHEME_HALFLINE, SCHEME_UNIT, BitSink, BitSource, write_container
-from dsim.dyadic_codec import MAX_DEPTH, RETRY_BUDGET, DepthExceededError, locate_batch, write_triples
+from dsim.bitcodes import (
+    SCHEME_HALFLINE,
+    SCHEME_UNIT,
+    BitSink,
+    BitSource,
+    FormatError,
+    gamma_decode,
+    shifted_gamma_decode,
+    write_container,
+)
+from dsim.dyadic_codec import (
+    MAX_DEPTH,
+    RETRY_BUDGET,
+    DepthExceededError,
+    _offset_in_range,
+    locate_batch,
+    write_triples,
+)
 from dsim.halfline_codec import restrict_to_bin
 from dsim.integer_codec import encode_multiset
 
@@ -40,6 +57,28 @@ def locate(x: float, y: float, f) -> tuple[int, int]:
             if y_lo <= y < y_hi:
                 return k, a
     raise DepthExceededError(f"no rectangle up to depth {MAX_DEPTH} contains the point")
+
+
+def decode_triples(source: BitSource, n) -> list[tuple[int, int, int]]:
+    """(k, a, count) triples read one codeword at a time until their counts sum
+    to n, or bin by bin when n is a sequence of bin totals."""
+    if np.ndim(n):
+        return [t for total in np.asarray(n).tolist() for t in decode_triples(source, total)]
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = []
+    total = 0
+    while total < n:
+        k = shifted_gamma_decode(source)
+        a = shifted_gamma_decode(source)
+        if not _offset_in_range(k, a):
+            raise FormatError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
+        count = gamma_decode(source)
+        total += count
+        if total > n:
+            raise FormatError("triple counts overshoot the declared total")
+        out.append((k, a, count))
+    return out
 
 
 def from_bitstring(s: str) -> BitSource:

@@ -257,7 +257,7 @@ class TestTripleCodec:
         sink = BitSink()
         write_triples(collect_triples([locate_batch(xs, ys, TRI)], lambda _: (TRI, rng.child("retry"))), sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
-        triples = decode_triples(src, 400)
+        triples = decode_triples(src, 400).tolist()
         assert src.bits_remaining == 0
         assert sum(c for _, _, c in triples) == 400
         assert triples == sorted(triples)
@@ -270,7 +270,7 @@ class TestTripleCodec:
         gamma_encode(3, sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
         triples = decode_triples(src, 3)
-        assert triples == [(1, 0, 3)]
+        assert triples.tolist() == [[1, 0, 3]]
         pts = points_from_triples(triples, RandomSource.from_seed(1).gen)
         assert pts.size == 3
         assert np.all((pts >= 0.0) & (pts < 0.5))
@@ -307,7 +307,7 @@ class TestTripleCodec:
             gamma_encode(1, sink)
             src = BitSource(sink.to_bytes(), sink.bit_length)
             if ok:
-                assert decode_triples(src, 1) == [(k, 0, 1)]
+                assert decode_triples(src, 1).tolist() == [[k, 0, 1]]
             else:
                 with pytest.raises(FormatError):
                     decode_triples(src, 1)
@@ -330,7 +330,7 @@ class TestTripleCodec:
 
     def test_decode_of_zero_points_reads_no_bit(self):
         src = from_bitstring("1")
-        assert decode_triples(src, 0) == []
+        assert decode_triples(src, 0).tolist() == []
         assert src.bits_remaining == 1
         with pytest.raises(ValueError):
             decode_triples(src, -1)
@@ -365,7 +365,7 @@ class TestScheme:
                            lambda u: u, f0=1.0)
         assert rect_bounds(0, 0, flat) == (0.0, 1.0, 0.0, 1.0)
         data = simulate(flat, 1000, RandomSource.from_seed(1))
-        assert read_container(data, SCHEME_UNIT, decode_triples) == [(0, 0, 1000)]
+        assert read_container(data, SCHEME_UNIT, decode_triples).tolist() == [[0, 0, 1000]]
         out = desimulate(data, RandomSource.from_seed(2))
         assert out.size == 1000 and np.all((out >= 0.0) & (out < 1.0))
 
