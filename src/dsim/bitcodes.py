@@ -93,11 +93,15 @@ class BitSink:
             raise ValueError(f"value {value} does not fit in {width} bits")
         acc = (self._acc << width) | value
         nacc = self._nacc + width
-        out = self._bytes
-        while nacc >= 8:
-            nacc -= 8
-            out.append((acc >> nacc) & 0xFF)
-        self._acc = acc & ((1 << nacc) - 1)
+        if nacc >= 8:
+            rest = nacc & 7
+            if nacc < 16:  # one whole byte, the common case of a codec's writes
+                self._bytes.append(acc >> rest)
+            else:  # the whole bytes in one conversion, so a wide write stays linear
+                self._bytes += (acc >> rest).to_bytes(nacc >> 3, "big")
+            acc &= (1 << rest) - 1
+            nacc = rest
+        self._acc = acc
         self._nacc = nacc
 
     @property

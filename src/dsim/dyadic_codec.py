@@ -24,11 +24,11 @@ collect_triples redraws the rare point that none catches, and the decoder
 rejects deeper triples.
 
 decode_triples reads the triples back in bulk, every half-line bin in one
-call, as one (T, 3) int64 array of (k, a, count) rows: bitcodes.read_gammas
-hands it the payload's gamma values a window at a time, and it checks each
-window's rows with a few array operations, raising on the first fault a
-codeword-at-a-time reader would meet.  points_from_triples expands that
-array with one draw.
+call and a lone total as one bin, as one (T, 3) int64 array of (k, a, count)
+rows: bitcodes.read_gammas hands it the payload's gamma values a window at a
+time, and it checks each window's rows with a few array operations, raising
+the exception class a codeword-at-a-time reader would meet first.
+points_from_triples expands that array with one draw.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ RETRY_BUDGET = 100
 # faulted them in again: a unit encode at n = 10**6 after such a decode took
 # 5,481-8,483 minor faults, against 0-1 at 2**16.
 CHUNK = 1 << 16
-_SHIFT = np.array([1, 1, 0])  # a triple's gamma values less this are (k, a, count)
 
 
 class DepthExceededError(ValueError):
@@ -109,14 +108,10 @@ def _bad_offsets(ks: np.ndarray, offs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~ok)
 
 
-def _check_index(k: int, a: int) -> None:
-    if not _offset_in_range(k, a):
-        raise ValueError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
-
-
 def rect_bounds(k: int, a: int, f) -> tuple[float, float, float, float]:
     """Corners (x_lo, x_hi, y_lo, y_hi) of rectangle R(k, a)."""
-    _check_index(k, a)
+    if not _offset_in_range(k, a):
+        raise ValueError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
     x_lo = a * 2.0 ** (1 - k)
     x_hi = (2 * a + 1) * 2.0 ** -k
     y_lo = f.pdf((a + 1) * 2.0 ** (1 - k)) if k else 0.0
@@ -290,19 +285,17 @@ def decode_triples(source: BitSource, n) -> np.ndarray:
     """(k, a, count) rows, an int64 array of shape (T, 3), read until their counts sum to n.
 
     n may instead be a 1-d int64 array of bin totals: each bin's rows in turn,
-    their counts summing to its total.  Rows are checked as a codeword-at-a-time
-    reader would meet them, and the first fault raises: a codeword's own
-    (read_gammas), an R(k, a) deeper than MAX_DEPTH or with an offset its depth
-    does not admit, found before its count is read, or a count that passes its
-    bin's total.  Totals of 0 read no bit.
+    their counts summing to its total; a lone n is one bin.  A fault raises the
+    class a codeword-at-a-time reader would meet first: a codeword's own
+    (read_gammas), or FormatError for an R(k, a) deeper than MAX_DEPTH or with
+    an offset its depth does not admit, read before the last bin ends, or for
+    a count that passes its bin's total.  Totals of 0 read no bit.
     """
-    if np.ndim(n):
-        ends = np.cumsum(n)  # where each bin's counts end
-        negative, total = ends.size and np.min(n) < 0, int(ends[-1]) if ends.size else 0
-    else:
-        ends, negative, total = None, n < 0, int(n)
-    if negative:
+    bins = np.reshape(n, -1) if np.ndim(n) else np.array([n], dtype=np.int64 if n < 1 << 63 else object)
+    if bins.min(initial=0) < 0:
         raise ValueError("n must be >= 0")
+    ends = bins.cumsum()  # where each bin's counts end, in Python ints past int64
+    total = int(ends[-1]) if ends.size else 0
     if not total:
         return np.zeros((0, 3), dtype=np.int64)
     rows, carry, done = [], np.zeros(0, dtype=np.int64), 0
@@ -311,37 +304,32 @@ def decode_triples(source: BitSource, n) -> np.ndarray:
         nonlocal carry, done
         v = np.concatenate((carry, values)) if carry.size else values
         m = v.size // 3
-        block = v[:3 * m].reshape(m, 3) - _SHIFT
-        ks, offs, counts = block.T
-        bad = _bad_offsets(ks, offs).tolist()
-        if v.size - 3 * m == 2 and not _offset_in_range(int(v[-2]) - 1, int(v[-1]) - 1):
-            bad.append(m)  # a triple whose count is in the next window
+        u = v - 1  # shifted gamma values less 1 are k and a
+        block = u[:3 * m].reshape(m, 3)
+        block[:, 2] += 1
         # a count past what is left overshoots whatever its size; capped, the
         # running sums stay increasing, in Python ints where int64 might overflow
         left = total - done
         if max(m, 1) * (left + 1) < 1 << 63:
-            reach = np.cumsum(np.minimum(counts, left + 1))
+            reach = np.minimum(block[:, 2], left + 1).cumsum()
         else:
-            reach = np.cumsum(counts.astype(object))
-        end = int(np.searchsorted(reach, left))  # where the last bin ends, or a count passes it
-        reach = reach[:end + 1]
-        if ends is not None and ends.size > 1:  # each bin that ends within reach ends on a triple
-            top = min(done + int(reach[-1]), total) if m else done
-            lo, hi = np.searchsorted(ends, (done, top), "right")
-            targets = ends[lo:hi] - done
-            at = np.searchsorted(reach, targets)
-            miss = np.flatnonzero(reach.take(at) != targets)[:1].tolist()
-            end = int(at[miss[0]]) if miss else end
-        else:
-            miss = [end] if end < m and reach[end] != left else []
-        if bad and bad[0] <= end:  # an offset is checked before its count is read
-            k, a = (int(x) - 1 for x in v[3 * bad[0]:3 * bad[0] + 2])
+            reach = block[:, 2].astype(object).cumsum()
+        stop = int(reach.searchsorted(left))  # the row that reaches the total, or m
+        # each (k, a) up to it, and one whose count is in the next window
+        p = min(stop + 1, (v.size + 1) // 3)
+        bad = _bad_offsets(u[:3 * p:3], u[1:3 * p:3])
+        if bad.size:
+            k, a = u[3 * bad[0]:3 * bad[0] + 2].tolist()
             raise FormatError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
-        if miss:
+        # each bin that ends within reach ends on a row
+        reach = reach[:stop + 1]
+        lo, hi = ends.searchsorted([done, min(done + int(reach[-1]), total) if m else done], "right")
+        targets = ends[lo:hi] - done
+        if (reach.take(reach.searchsorted(targets)) != targets).any():
             raise FormatError("triple counts overshoot the declared total")
-        rows.append(block[:end + 1])
-        if end < m:
-            return 3 * (end + 1) - carry.size
+        rows.append(block[:stop + 1])
+        if stop < m:
+            return 3 * (stop + 1) - carry.size
         carry = v[3 * m:]
         done += int(reach[-1]) if m else 0
         return None

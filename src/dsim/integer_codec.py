@@ -63,11 +63,10 @@ def decode_multiset(source: BitSource, n: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.empty(slots, dtype=np.int64)
     starts = np.empty(slots + 1, dtype=np.int64)
     runs = filled = x = 0
+    limit = min(n, MAX_VALUE)  # run starts are int64, as values are
     while filled < n:
         if runs and not source.read_bit():
             filled += gamma_decode(source)
-            if filled > n:
-                raise FormatError("zero run overshoots the declared count")
         else:
             x += gamma_decode(source)
             if x > MAX_VALUE:
@@ -76,6 +75,9 @@ def decode_multiset(source: BitSource, n: int) -> tuple[np.ndarray, np.ndarray]:
             starts[runs] = filled
             runs += 1
             filled += 1
+        if filled > limit:
+            raise FormatError("zero run overshoots the declared count" if filled > n
+                              else "running count exceeds 2**63 - 1")
     starts[runs] = n
     return values[:runs], starts[1:runs + 1] - starts[:runs]
 

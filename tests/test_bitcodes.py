@@ -68,6 +68,18 @@ class TestBitSink:
         assert to_bitstring(sink) == "101100101"
         assert sink.to_bytes() == bytes([0b10110010, 0b10000000])
 
+    def test_wide_write_matches_narrow_writes(self):
+        # one write of about 10**6 bits, as a helper that frames a whole payload makes
+        bits = "".join(format(v, "064b") for v in range(1, 2**64, 2**64 // 15625)) + "10110"
+        wide, narrow = BitSink(), BitSink()
+        wide.write_bits(3, 3)
+        narrow.write_bits(3, 3)
+        wide.write_bits(int(bits, 2), len(bits))
+        for i in range(0, len(bits), 64):
+            narrow.write_bits(int(bits[i:i + 64], 2), len(bits[i:i + 64]))
+        assert wide.bit_length == narrow.bit_length == 3 + len(bits)
+        assert wide.to_bytes() == narrow.to_bytes()
+
 
 class TestBitSource:
     def test_read_back(self):

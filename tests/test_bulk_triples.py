@@ -39,8 +39,7 @@ def triple_bits(triples) -> str:
 
 def frame(scheme: int, n: int, bits: str) -> bytes:
     sink = BitSink()
-    for i in range(0, len(bits), 64):  # the sink shifts its whole pending value per call
-        sink.write_bits(int(bits[i:i + 64], 2), len(bits[i:i + 64]))
+    sink.write_bits(int(bits or "0", 2), len(bits))
     return write_container(scheme, n, sink)
 
 

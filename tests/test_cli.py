@@ -300,6 +300,35 @@ class TestConsoleScript:
         assert header.n == 20
 
 
+# Decodes a container through main and prints the peak RSS of the process's
+# own memory in KiB.  ru_maxrss would not do: Linux carries it across exec,
+# so it may hold the peak of the process that started this one.
+DECODE_RSS_PROBE = """
+import sys
+from dsim.cli import main
+assert main(["decode", sys.argv[1], "--seed", "2", "-o", sys.argv[2]]) == 0
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+class TestDecodeMemory:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+    def test_decode_text_is_written_in_blocks(self, tmp_path):
+        # 10**6 samples are 8 MiB as doubles, but their text as one list of
+        # strings and one joined string took about 125 MiB more than at 10**5
+        env = {**os.environ, "PYTHONPATH": str(Path(dsim.__file__).parents[1])}
+        peaks = []
+        for n in (10**5, 10**6):
+            blob = tmp_path / f"{n}.dsim"
+            blob.write_bytes(dsim.simulate_any(parse_spec("triangular"), n, RandomSource.from_seed(1)))
+            proc = subprocess.run([sys.executable, "-c", DECODE_RSS_PROBE, str(blob), str(tmp_path / "x.csv")],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert len((tmp_path / "x.csv").read_text().splitlines()) == n + 1
+            peaks.append(int(proc.stdout.split()[-1]))
+        assert peaks[1] - peaks[0] < 40 * 1024, peaks
+
+
 # Prints the scipy modules loaded by a fresh `import dsim`, then those loaded
 # after one encode and one decode through main.
 BOUNDARY_PROBE = """

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 import dsim
 from dsim.bitcodes import (
     MAX_VALUE,
+    SCHEME_INTEGER,
     BitSink,
     BitSource,
     FormatError,
     TruncatedStreamError,
+    gamma_encode,
     read_header,
+    write_container,
 )
 from dsim.distributions import geometric, zipf
 from dsim.integer_codec import decode_multiset, desimulate, encode_multiset, simulate
@@ -167,6 +170,16 @@ class TestValidation:
         # gamma(1) then "0" + gamma(3): run of 3 zeros after 1 value, n = 2
         with pytest.raises(FormatError):
             decode_bitstring("10011", 2)
+
+    def test_running_count_past_int64_rejected(self):
+        # gamma(5) then "0" + gamma(2**63 - 1): 2**63 values, one more than an
+        # int64 run start holds
+        sink = BitSink()
+        gamma_encode(5, sink)
+        sink.write_bit(0)
+        gamma_encode(2**63 - 1, sink)
+        with pytest.raises(FormatError):
+            desimulate(write_container(SCHEME_INTEGER, 2**63, sink), RandomSource.from_seed(1))
 
 
 # Decodes int and halfline containers whose header declares far more values
