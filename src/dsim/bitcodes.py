@@ -11,9 +11,11 @@ those starts.  It tokenises GAMMA_WINDOW bits at a time, so its tokens stay a
 few MiB at any payload size, and hands each window's values to its caller as
 an int64 array; the caller says where to stop.
 
-read_container is the one framed read of a payload: it accepts a payload only
-when the header names the scheme a codec decodes and the codec's
-parse(source, n) reads it to its last bit.
+Gamma is the only integer code; a field that may be 0 is written as gamma of
+the field plus 1.  read_header alone bounds n, by MAX_VALUE, so every decoder
+counts in int64.  read_container is the one framed read of a payload: it
+accepts a payload only when the header names the scheme a codec decodes and
+the codec's parse(source, n) reads it to its last bit.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ __all__ = [
     "gamma_encode",
     "gamma_decode",
     "gamma_length",
-    "shifted_gamma_encode",
-    "shifted_gamma_decode",
-    "shifted_gamma_length",
     "GAMMA_WINDOW",
     "read_gammas",
     "write_container",
@@ -188,25 +187,6 @@ def gamma_length(z: int) -> int:
     return 2 * (_check_value(z).bit_length() - 1) + 1
 
 
-def shifted_gamma_encode(x: int, sink: BitSink) -> None:
-    """Gamma code shifted to cover x >= 0 by encoding x + 1."""
-    x = int(x)
-    if x < 0:
-        raise ValueError(f"shifted gamma code needs x >= 0, got {x}")
-    gamma_encode(x + 1, sink)
-
-
-def shifted_gamma_decode(source: BitSource) -> int:
-    return gamma_decode(source) - 1
-
-
-def shifted_gamma_length(x: int) -> int:
-    x = int(x)
-    if x < 0:
-        raise ValueError(f"shifted gamma code needs x >= 0, got {x}")
-    return gamma_length(x + 1)
-
-
 @functools.cache
 def _gamma_regex() -> re.Pattern:
     """The tokeniser, compiled on first use: an import that reads no triple skips its 2-4 ms.
@@ -272,7 +252,7 @@ def write_container(scheme: int, n: int, payload: BitSink) -> bytes:
 
 
 def read_header(data: bytes) -> ContainerHeader:
-    """Parse and validate a container's header and framing, without a payload reader."""
+    """Parse and validate a container's header and framing, n <= MAX_VALUE too, without a payload reader."""
     if len(data) < HEADER_SIZE:
         raise FormatError(f"container shorter than the {HEADER_SIZE}-byte header")
     if data[:4] != MAGIC:
@@ -282,6 +262,8 @@ def read_header(data: bytes) -> ContainerHeader:
         raise FormatError(f"unsupported version {version}")
     if scheme not in SCHEME_NAMES:
         raise FormatError(f"unknown scheme byte {scheme:#x}")
+    if n > MAX_VALUE:
+        raise FormatError(f"header declares {n} samples, more than 2**63 - 1")
     body_bits = 8 * (len(data) - HEADER_SIZE)
     if payload_bits > body_bits:
         raise FormatError(f"header declares {payload_bits} payload bits but only {body_bits} are present")

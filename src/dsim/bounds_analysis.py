@@ -19,7 +19,7 @@ from scipy.stats import binom as _binom
 from scipy.stats import chi2 as _chi2
 
 from . import desimulate_any, dyadic_codec, simulate_any
-from .bitcodes import SCHEME_UNIT, gamma_length, read_container, read_header, shifted_gamma_length
+from .bitcodes import SCHEME_UNIT, gamma_length, read_container, read_header
 from .distributions import IntegerDistribution, MonotonePdf
 from .dyadic_codec import rect_area
 from .rng import RandomSource
@@ -146,7 +146,7 @@ def exact_expected_length_unit(f: MonotonePdf, n: int, k_max: int = 8) -> float:
         offsets = range(1 if k == 0 else 2 ** (k - 1))
         # rounding can push an area a hair past 1, where the binomial is undefined
         areas = np.minimum([rect_area(k, a, f) for a in offsets], 1.0)
-        heads = np.array([shifted_gamma_length(k) + shifted_gamma_length(a) + 1 for a in offsets])
+        heads = np.array([gamma_length(k + 1) + gamma_length(a + 1) + 1 for a in offsets])
         tail = _binom.sf(cuts, n, areas)
         total += float(heads @ tail[0] + 2.0 * tail[1:].sum())
     return total
@@ -161,7 +161,7 @@ def truncated_payload_bits(data: bytes, k_max: int = 8) -> int:
     """
     _require(k_max >= 0, "k_max must be >= 0")
     rows = read_container(data, SCHEME_UNIT, dyadic_codec.decode_triples)
-    return sum(shifted_gamma_length(k) + shifted_gamma_length(a) + gamma_length(count)
+    return sum(gamma_length(k + 1) + gamma_length(a + 1) + gamma_length(count)
                for k, a, count in rows[rows[:, 0] <= k_max].tolist())
 
 

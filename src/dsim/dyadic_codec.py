@@ -13,7 +13,7 @@ x-coordinate is uniform on that rectangle's x-interval.
 
 The codeword lists the occupied rectangles in lexicographic (k, a) order,
 which is the order of their heap nodes 2**(k-1) + a (node 0 for k = 0), each
-as shifted-gamma(k), shifted-gamma(a), gamma(count).  For this scheme and
+as gamma(k + 1), gamma(a + 1), gamma(count).  For this scheme and
 the half-line scheme, collect_triples is the one path from located points to
 triples and write_triples the one writer of that layout; each takes every
 half-line bin in one call, their triples in bin order; collect_triples keeps
@@ -38,6 +38,7 @@ import copy
 import numpy as np
 
 from .bitcodes import (
+    MAX_VALUE,
     SCHEME_UNIT,
     BitSink,
     BitSource,
@@ -45,7 +46,6 @@ from .bitcodes import (
     gamma_encode,
     read_container,
     read_gammas,
-    shifted_gamma_encode,
     write_container,
 )
 from .distributions import MonotonePdf
@@ -274,10 +274,10 @@ def _merged(parts):
 
 
 def write_triples(triples, sink: BitSink) -> None:
-    """Append each (k, a, count) as shifted-gamma(k), shifted-gamma(a), gamma(count)."""
+    """Append each (k, a, count) as gamma(k + 1), gamma(a + 1), gamma(count)."""
     for k, a, count in triples:
-        shifted_gamma_encode(k, sink)
-        shifted_gamma_encode(a, sink)
+        gamma_encode(k + 1, sink)
+        gamma_encode(a + 1, sink)
         gamma_encode(count, sink)
 
 
@@ -285,16 +285,17 @@ def decode_triples(source: BitSource, n) -> np.ndarray:
     """(k, a, count) rows, an int64 array of shape (T, 3), read until their counts sum to n.
 
     n may instead be a 1-d int64 array of bin totals: each bin's rows in turn,
-    their counts summing to its total; a lone n is one bin.  A fault raises the
-    class a codeword-at-a-time reader would meet first: a codeword's own
-    (read_gammas), or FormatError for an R(k, a) deeper than MAX_DEPTH or with
-    an offset its depth does not admit, read before the last bin ends, or for
-    a count that passes its bin's total.  Totals of 0 read no bit.
+    their counts summing to its total; a lone n is one bin.  n, or the bins'
+    sum, lies in [0, MAX_VALUE], as in a header, else ValueError.  A fault
+    raises the class a codeword-at-a-time reader would meet first: a codeword's
+    own (read_gammas), or FormatError for an R(k, a) deeper than MAX_DEPTH or
+    with an offset its depth does not admit, read before the last bin ends, or
+    for a count that passes its bin's total.  Totals of 0 read no bit.
     """
-    bins = np.reshape(n, -1) if np.ndim(n) else np.array([n], dtype=np.int64 if n < 1 << 63 else object)
-    if bins.min(initial=0) < 0:
-        raise ValueError("n must be >= 0")
-    ends = bins.cumsum()  # where each bin's counts end, in Python ints past int64
+    bins = np.reshape(n, -1)
+    ends = bins.cumsum()  # where each bin's counts end; an int64 sum that wraps turns negative
+    if min(bins.min(initial=0), ends.min(initial=0)) < 0 or ends.max(initial=0) > MAX_VALUE:
+        raise ValueError("n must be in [0, 2**63 - 1]")
     total = int(ends[-1]) if ends.size else 0
     if not total:
         return np.zeros((0, 3), dtype=np.int64)
@@ -304,27 +305,26 @@ def decode_triples(source: BitSource, n) -> np.ndarray:
         nonlocal carry, done
         v = np.concatenate((carry, values)) if carry.size else values
         m = v.size // 3
-        u = v - 1  # shifted gamma values less 1 are k and a
+        u = v - 1  # gamma values less 1 are k and a
         block = u[:3 * m].reshape(m, 3)
         block[:, 2] += 1
-        # a count past what is left overshoots whatever its size; capped, the
-        # running sums stay increasing, in Python ints where int64 might overflow
+        # counts and what is left are below 2**63, so the running sums are
+        # exact in uint64 up to the first that reaches left and may wrap only
+        # past it: a scan, not a search, finds that row, the one that reaches
+        # the total, or m
         left = total - done
-        if max(m, 1) * (left + 1) < 1 << 63:
-            reach = np.minimum(block[:, 2], left + 1).cumsum()
-        else:
-            reach = block[:, 2].astype(object).cumsum()
-        stop = int(reach.searchsorted(left))  # the row that reaches the total, or m
+        reach = block[:, 2].cumsum(dtype=np.uint64)
+        stop = int(np.append(reach >= left, True).argmax())
         # each (k, a) up to it, and one whose count is in the next window
         p = min(stop + 1, (v.size + 1) // 3)
         bad = _bad_offsets(u[:3 * p:3], u[1:3 * p:3])
         if bad.size:
             k, a = u[3 * bad[0]:3 * bad[0] + 2].tolist()
             raise FormatError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
-        # each bin that ends within reach ends on a row
+        # each bin that ends within reach ends on a row, compared in uint64
         reach = reach[:stop + 1]
         lo, hi = ends.searchsorted([done, min(done + int(reach[-1]), total) if m else done], "right")
-        targets = ends[lo:hi] - done
+        targets = (ends[lo:hi] - done).astype(np.uint64)
         if (reach.take(reach.searchsorted(targets)) != targets).any():
             raise FormatError("triple counts overshoot the declared total")
         rows.append(block[:stop + 1])

@@ -10,16 +10,16 @@ are drawn fresh.
 
 The encoder draws its values dyadic_codec.CHUNK at a time, then works on all
 bins in one pass: one stable sort of the draws' bin keys gives their bin
-order and the multiset's runs.  Each chunk gathers its draws through that
-order and takes their bins from the runs it meets; a slice of one draw gives
-the heights, and one locator call places the points against f shifted into
-their bins, unnormalised: scaling a bin's density scales its heights alike.
-The call takes the left ends of the chunk's bins and each point's bin as
-arrays; a bin's density is 0 past 1, so R(0, 0)'s lower edge is 0.  One
-collect_triples call counts every chunk and one write_triples call writes
-every bin, in bin order.  Only a bin with a point that no rectangle up to
-MAX_DEPTH catches builds its normalised law (restrict_to_bin), for
-collect_triples to redraw it.
+order, and one np.unique of the keys the multiset's runs.  Each chunk gathers
+its draws through that order and takes their bins from the runs it meets; a
+slice of one draw gives the heights, and one locator call places the points
+against f shifted into their bins, unnormalised: scaling a bin's density
+scales its heights alike.  The call takes the left ends of the chunk's bins
+and each point's bin as arrays; a bin's density is 0 past 1, so R(0, 0)'s
+lower edge is 0.  One collect_triples call counts every chunk and one
+write_triples call writes every bin, in bin order.  Only a bin with a point
+that no rectangle up to MAX_DEPTH catches builds its normalised law
+(restrict_to_bin), for collect_triples to redraw it.
 
 The decoder never evaluates the density: it reads the integer payload as runs,
 each occupied bin with its count, and within-bin positions come from the
@@ -109,18 +109,15 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
         raise ValueError(f"{f.name} drew a value outside bins 1 to 2**63 - 1")
     # a stable sort of floor(X) keeps each bin's draws in draw order; numpy
     # radix-sorts 16-bit keys, about four times faster than int64 ones at
-    # n = 10**6, and a cast to uint16 floors the draws, which are >= 0
-    key = values.astype(np.uint16) if top < 2**16 else np.floor(values).astype(np.int64)
+    # n = 10**6, and a cast floors the draws, which are >= 0
+    key = values.astype(np.uint16 if top < 2**16 else np.int64)
     order = np.argsort(key, kind="stable")
-    key = key.take(order)
-    # the runs of the sorted keys, each an occupied bin i = floor(X) + 1
-    starts = np.ones(n, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
-    uniq = key.take(starts).astype(np.int64) + 1
-    del key
-    edges = np.append(starts, n)
-    sink = encode_multiset(uniq, np.diff(edges))
+    # the runs of the keys, each an occupied bin i = floor(X) + 1
+    uniq, counts = np.unique(key, return_counts=True)
+    del key  # the located chunks need only the order
+    uniq = uniq.astype(np.int64) + 1
+    edges = np.append(0, counts.cumsum())
+    sink = encode_multiset(uniq, counts)
     shift = (uniq - 1).astype(float)  # per bin, its left end
     heights = rng.child("heights").gen  # its slices in turn are the per-bin draws in bin order
 

@@ -7,10 +7,11 @@ differences D_1 = X(1), D_i = X(i) - X(i-1).  D_1 is written bare as a gamma
 codeword.  Each later group is either "1" followed by gamma(D_i) for a
 positive difference, or "0" followed by gamma(j) for a run of j zero
 differences (j maximal, so a positive difference or the end of the multiset
-follows); the empty multiset has the empty codeword.  The decoder needs the
-count n, which the container header carries, so no terminator is spent inside
-the payload.  Both directions carry the multiset as runs, its distinct values
-in increasing order and their multiplicities, so a scheme sorts its draws once.
+follows, so the decoder rejects a zero run after a zero run); the empty
+multiset has the empty codeword.  The decoder needs the count n, which the
+container header carries, so no terminator is spent inside the payload.  Both
+directions carry the multiset as runs, its distinct values in increasing
+order and their multiplicities, so a scheme sorts its draws once.
 """
 
 from __future__ import annotations
@@ -55,29 +56,29 @@ def encode_multiset(values, counts) -> BitSink:
 
 def decode_multiset(source: BitSource, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n values encode_multiset wrote, as (increasing distinct values, multiplicities)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= MAX_VALUE:  # the range a header admits, so run starts are int64
+        raise ValueError("n must be in [0, 2**63 - 1]")
     # a slot per run, of which the payload holds at most one per bit;
     # np.empty leaves the pages of the unused slots untouched
     slots = min(n, source.bits_remaining)
     values = np.empty(slots, dtype=np.int64)
     starts = np.empty(slots + 1, dtype=np.int64)
-    runs = filled = x = 0
-    limit = min(n, MAX_VALUE)  # run starts are int64, as values are
+    runs = filled = start = x = 0
     while filled < n:
         if runs and not source.read_bit():
+            if filled - start > 1:  # a run is maximal, so a value follows it
+                raise FormatError("zero run follows a zero run")
             filled += gamma_decode(source)
         else:
             x += gamma_decode(source)
             if x > MAX_VALUE:
                 raise FormatError("decoded value exceeds 2**63 - 1")
             values[runs] = x
-            starts[runs] = filled
+            starts[runs] = start = filled
             runs += 1
             filled += 1
-        if filled > limit:
-            raise FormatError("zero run overshoots the declared count" if filled > n
-                              else "running count exceeds 2**63 - 1")
+        if filled > n:
+            raise FormatError("zero run overshoots the declared count")
     starts[runs] = n
     return values[:runs], starts[1:runs + 1] - starts[:runs]
 

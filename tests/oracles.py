@@ -13,7 +13,6 @@ from dsim.bitcodes import (
     BitSource,
     FormatError,
     gamma_decode,
-    shifted_gamma_decode,
     write_container,
 )
 from dsim.dyadic_codec import (
@@ -69,8 +68,8 @@ def decode_triples(source: BitSource, n) -> list[tuple[int, int, int]]:
     out = []
     total = 0
     while total < n:
-        k = shifted_gamma_decode(source)
-        a = shifted_gamma_decode(source)
+        k = gamma_decode(source) - 1
+        a = gamma_decode(source) - 1
         if not _offset_in_range(k, a):
             raise FormatError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
         count = gamma_decode(source)

@@ -20,9 +20,6 @@ from dsim.bitcodes import (
     gamma_length,
     read_container,
     read_header,
-    shifted_gamma_decode,
-    shifted_gamma_encode,
-    shifted_gamma_length,
     write_container,
 )
 from oracles import from_bitstring, to_bitstring
@@ -183,18 +180,6 @@ class TestGammaCode:
         assert [gamma_decode(src) for _ in values] == values
         assert src.bits_remaining == 0
 
-    @given(st.integers(0, 2**16))
-    @settings(max_examples=200)
-    def test_shifted_round_trip(self, x):
-        sink = BitSink()
-        shifted_gamma_encode(x, sink)
-        assert sink.bit_length == shifted_gamma_length(x) == gamma_length(x + 1)
-        assert shifted_gamma_decode(BitSource(sink.to_bytes(), sink.bit_length)) == x
-
-    def test_shifted_domain(self):
-        with pytest.raises(ValueError):
-            shifted_gamma_encode(-1, BitSink())
-
 
 class TestContainer:
     def test_header_layout(self):
@@ -214,7 +199,7 @@ class TestContainer:
         assert read_header(data) == ContainerHeader(SCHEME_UNIT, 3, 6)
         assert read_payload(data, SCHEME_UNIT) == (3, 6, 0b101101)
 
-    @given(st.integers(0, 2**64 - 1), st.binary(max_size=64), st.integers(0, 7))
+    @given(st.integers(0, MAX_VALUE), st.binary(max_size=64), st.integers(0, 7))
     @settings(max_examples=100)
     def test_round_trip_random_payloads(self, n, body, spare):
         sink = BitSink()
@@ -239,7 +224,7 @@ class TestContainer:
         with pytest.raises(FormatError, match="expected"):
             read_container(data, SCHEME_INTEGER, lambda source, n: pytest.fail("parsed a foreign payload"))
 
-    @given(st.integers(0, 2**64 - 1))
+    @given(st.integers(0, MAX_VALUE))
     @settings(max_examples=20)
     def test_parse_receives_the_header_n(self, n):
         data = write_container(SCHEME_INTEGER, n, BitSink())
@@ -316,3 +301,17 @@ class TestContainer:
             write_container(SCHEME_INTEGER, -1, BitSink())
         with pytest.raises(ValueError):
             write_container(SCHEME_INTEGER, 2**64, BitSink())
+
+    def test_header_admits_n_up_to_max_value(self):
+        data = write_container(SCHEME_UNIT, MAX_VALUE, BitSink())
+        assert read_header(data).n == MAX_VALUE
+        assert read_container(data, SCHEME_UNIT, lambda source, n: n) == MAX_VALUE
+
+    @pytest.mark.parametrize("n", [MAX_VALUE + 1, 2**64 - 1])
+    def test_header_rejects_n_past_max_value_before_the_payload(self, n):
+        # the u64 field holds n, which the writer frames and the reader rejects
+        data = write_container(SCHEME_UNIT, n, BitSink())
+        with pytest.raises(FormatError, match=r"2\*\*63 - 1"):
+            read_header(data)
+        with pytest.raises(FormatError):
+            read_container(data, SCHEME_UNIT, lambda source, n: pytest.fail("parsed the payload"))

@@ -26,7 +26,7 @@ from dsim.bounds_analysis import (
     verify_trial,
 )
 from dsim.bitcodes import (SCHEME_UNIT, BitSink, FormatError, gamma_length, read_container, read_header,
-                           shifted_gamma_length, write_container)
+                           write_container)
 from dsim.distributions import MonotonePdf, exponential, geometric, pareto_flat, triangular, zipf
 from dsim.dyadic_codec import decode_triples, rect_area
 from dsim.dyadic_codec import desimulate as unit_desimulate, simulate as unit_simulate
@@ -107,7 +107,7 @@ class TestEnumerator:
             area = rect_area(k, a, f)
             if area <= 0.0:
                 continue
-            head = shifted_gamma_length(k) + shifted_gamma_length(a)
+            head = gamma_length(k + 1) + gamma_length(a + 1)
             pm = scipy.stats.binom.pmf(np.arange(1, n + 1), n, area)
             lengths = np.array([gamma_length(m) for m in range(1, n + 1)], dtype=float)
             expected += pm.sum() * head + float(pm @ lengths)
@@ -118,7 +118,7 @@ class TestEnumerator:
         # with n = 1 each rectangle contributes area * (head + 1)
         f, k_max = triangular(), 8
         expected = sum(
-            rect_area(k, a, f) * (shifted_gamma_length(k) + shifted_gamma_length(a) + 1)
+            rect_area(k, a, f) * (gamma_length(k + 1) + gamma_length(a + 1) + 1)
             for k, a in enumerate_rects(k_max)
             if rect_area(k, a, f) > 0.0
         )
@@ -151,7 +151,7 @@ class TestTruncatedPayload:
         manual = 0
         for k, a, count in read_container(data, SCHEME_UNIT, decode_triples):
             if k <= 8:
-                manual += shifted_gamma_length(k) + shifted_gamma_length(a) + gamma_length(count)
+                manual += gamma_length(k + 1) + gamma_length(a + 1) + gamma_length(count)
         assert truncated_payload_bits(data, k_max=8) == manual
 
     def test_untruncated_equals_payload(self):

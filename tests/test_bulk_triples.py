@@ -1,6 +1,7 @@
 """The bulk triple reader against the codeword-at-a-time reference in oracles."""
 
 import tracemalloc
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from dsim import bitcodes, dyadic_codec, halfline_codec
 from dsim.bitcodes import (
     GAMMA_WINDOW,
     HEADER_SIZE,
+    MAX_VALUE,
     SCHEME_HALFLINE,
     SCHEME_UNIT,
     BitSink,
@@ -108,10 +110,11 @@ def read(reader, bits: str, n):
 
 @st.composite
 def triple_streams(draw):
-    """Triples deep and shallow, some offsets out of range, bits flipped or cut,
-    read with a total or with bin totals near theirs, through a narrow window."""
-    triples = draw(st.lists(st.tuples(st.integers(0, 64), st.integers(0, 2**62), st.integers(1, 2**20)),
-                            max_size=30))
+    """Triples deep and shallow, some offsets out of range, counts small or up to
+    2**63 - 1, bits flipped or cut, read with a total or with bin totals near
+    theirs, through a narrow window."""
+    counts = st.one_of(st.integers(1, 2**20), st.integers(1, MAX_VALUE))
+    triples = draw(st.lists(st.tuples(st.integers(0, 64), st.integers(0, 2**62), counts), max_size=30))
     triples = [(k, a if draw(st.booleans()) else a % (1 << max(k - 1, 0)), c) for k, a, c in triples]
     bits = list(triple_bits(triples))
     for i in draw(st.lists(st.integers(0, len(bits) - 1), max_size=4)) if bits else ():
@@ -122,6 +125,9 @@ def triple_streams(draw):
     cuts = sorted(draw(st.lists(st.integers(0, len(counts)), max_size=5)))
     totals = [max(sum(counts[i:j]) + draw(st.sampled_from([0, 0, -1, 1])), 0)
               for i, j in zip([0] + cuts, cuts + [len(counts)])]
+    # capped where they would sum past 2**63 - 1, the largest n a header admits
+    ends = [min(end, MAX_VALUE) for end in accumulate(totals)]
+    totals = [b - a for a, b in zip([0] + ends, ends)]
     n = np.array(totals) if draw(st.booleans()) else sum(totals)
     return "".join(bits), n, draw(st.integers(125, 400))
 
@@ -198,12 +204,6 @@ def test_zero_totals_read_no_bit():
 
 
 def test_counts_past_int64_sums():
-    # n near 2**64 and counts near 2**63: the running sums leave int64
-    triples = [(0, 0, 2**63 - 1), (1, 0, 2**63 - 1), (2, 0, 1)]
-    data = frame(SCHEME_UNIT, 2**64 - 1, triple_bits(triples))
-    assert outcome(data, SCHEME_UNIT, scalar=False) == [list(t) for t in triples]
-    data = frame(SCHEME_UNIT, 2**64 - 2, triple_bits(triples))
-    assert outcome(data, SCHEME_UNIT, scalar=False) == FormatError == outcome(data, SCHEME_UNIT, scalar=True)
     # bins whose totals pass 2**62
     triples = [(0, 0, 2**61), (1, 0, 2**62), (2, 0, 3)]
     totals = np.array([2**61, 2**62 + 3])
@@ -212,6 +212,32 @@ def test_counts_past_int64_sums():
     for reader in (decode_triples, oracles.decode_triples):
         with pytest.raises(FormatError):
             reader(from_bitstring(triple_bits(triples)), totals)
+
+
+def test_counts_near_the_largest_n():
+    # counts of 2**63 - 1 after the row that reaches n, where uint64 running sums wrap
+    triples = [(0, 0, MAX_VALUE - 1), (1, 0, 1), (2, 0, MAX_VALUE), (3, 0, MAX_VALUE)]
+    bits = triple_bits(triples)
+    rows = ([list(t) for t in triples[:2]], len(triple_bits(triples[2:])))
+    assert read(decode_triples, bits, MAX_VALUE) == rows == read(oracles.decode_triples, bits, MAX_VALUE)
+    for n in (MAX_VALUE, np.array([MAX_VALUE - 1, 1])):
+        for reader in (decode_triples, oracles.decode_triples):
+            with pytest.raises(FormatError):  # a count passes the total
+                reader(from_bitstring(triple_bits([(0, 0, MAX_VALUE - 1), (1, 0, 2)])), n)
+
+
+def test_container_with_n_past_the_header_range():
+    # two counts of 2**62 sum to n = 2**63: the header is rejected before the
+    # triples are read, and before their sum could leave int64 in the expansion
+    data = frame(SCHEME_UNIT, 2**63, triple_bits([(0, 0, 2**62), (1, 0, 2**62)]))
+    with pytest.raises(FormatError):
+        dyadic_codec.desimulate(data, RandomSource.from_seed(1))
+
+
+@pytest.mark.parametrize("n", [-1, MAX_VALUE + 1, 2**64, np.array([MAX_VALUE, 1]), np.array([3, -1])])
+def test_n_outside_the_header_range(n):
+    with pytest.raises(ValueError):
+        decode_triples(from_bitstring(triple_bits([(0, 0, 1)])), n)
 
 
 # tracemalloc peaks of the codeword-at-a-time reader, which kept a tuple per triple

@@ -17,7 +17,6 @@ from dsim.bitcodes import (
     gamma_encode,
     read_container,
     read_header,
-    shifted_gamma_encode,
     write_container,
 )
 from dsim.bounds_analysis import ks_two_sample, verify_trial
@@ -186,8 +185,8 @@ class TestLocate:
 
 def single_triple(k: int, a: int, count: int) -> BitSink:
     sink = BitSink()
-    shifted_gamma_encode(k, sink)
-    shifted_gamma_encode(a, sink)
+    gamma_encode(k + 1, sink)
+    gamma_encode(a + 1, sink)
     gamma_encode(count, sink)
     return sink
 
@@ -265,8 +264,8 @@ class TestTripleCodec:
 
     def test_single_triple_decodes_to_interval(self):
         sink = BitSink()
-        shifted_gamma_encode(1, sink)
-        shifted_gamma_encode(0, sink)
+        gamma_encode(1 + 1, sink)
+        gamma_encode(0 + 1, sink)
         gamma_encode(3, sink)
         src = BitSource(sink.to_bytes(), sink.bit_length)
         triples = decode_triples(src, 3)
@@ -285,16 +284,16 @@ class TestTripleCodec:
 
     def test_decode_overshoot(self):
         sink = BitSink()
-        shifted_gamma_encode(1, sink)
-        shifted_gamma_encode(0, sink)
+        gamma_encode(1 + 1, sink)
+        gamma_encode(0 + 1, sink)
         gamma_encode(5, sink)
         with pytest.raises(FormatError):
             decode_triples(BitSource(sink.to_bytes(), sink.bit_length), 3)
 
     def test_decode_offset_out_of_range(self):
         sink = BitSink()
-        shifted_gamma_encode(2, sink)
-        shifted_gamma_encode(2, sink)  # depth 2 admits offsets 0 and 1 only
+        gamma_encode(2 + 1, sink)
+        gamma_encode(2 + 1, sink)  # depth 2 admits offsets 0 and 1 only
         gamma_encode(1, sink)
         with pytest.raises(FormatError):
             decode_triples(BitSource(sink.to_bytes(), sink.bit_length), 1)
@@ -302,8 +301,8 @@ class TestTripleCodec:
     def test_decode_depth_limit(self):
         for k, ok in [(62, True), (63, False)]:
             sink = BitSink()
-            shifted_gamma_encode(k, sink)
-            shifted_gamma_encode(0, sink)
+            gamma_encode(k + 1, sink)
+            gamma_encode(0 + 1, sink)
             gamma_encode(1, sink)
             src = BitSource(sink.to_bytes(), sink.bit_length)
             if ok:
@@ -382,8 +381,8 @@ class TestScheme:
 
     def test_rejects_trailing_payload_bits(self):
         sink = BitSink()
-        shifted_gamma_encode(1, sink)
-        shifted_gamma_encode(0, sink)
+        gamma_encode(1 + 1, sink)
+        gamma_encode(0 + 1, sink)
         gamma_encode(2, sink)
         sink.write_bit(1)
         data = write_container(SCHEME_UNIT, 2, sink)
@@ -393,8 +392,8 @@ class TestScheme:
     def test_rejects_depth_no_encoder_writes(self):
         # 2**-5000 underflows, so without a depth limit this decodes to zeros
         sink = BitSink()
-        shifted_gamma_encode(5000, sink)
-        shifted_gamma_encode(0, sink)
+        gamma_encode(5000 + 1, sink)
+        gamma_encode(0 + 1, sink)
         gamma_encode(3, sink)
         data = write_container(SCHEME_UNIT, 3, sink)
         assert len(data) == 26

@@ -14,7 +14,6 @@ from dsim.bitcodes import (
     gamma_encode,
     read_container,
     read_header,
-    shifted_gamma_encode,
     write_container,
 )
 from dsim.distributions import MonotonePdf, exponential, pareto_flat, triangular
@@ -140,8 +139,8 @@ class TestScheme:
         # R(54, 2**53 - 1) lies in [1 - 2**-53, 1 - 2**-54]; 1 plus any of it
         # rounds to 2.0, the right end of bin 2
         sink = encode_multiset([2], [1])
-        shifted_gamma_encode(54, sink)
-        shifted_gamma_encode(2**53 - 1, sink)
+        gamma_encode(54 + 1, sink)
+        gamma_encode(2**53 - 1 + 1, sink)
         gamma_encode(1, sink)
         out = desimulate(write_container(SCHEME_HALFLINE, 1, sink), RandomSource.from_seed(1))
         assert out.tolist() == [np.nextafter(2.0, 0.0)]
@@ -178,8 +177,8 @@ class TestScheme:
 
     def test_rejects_deep_triple_inside_a_bin(self):
         sink = encode_multiset(*runs([2, 2, 2]))
-        shifted_gamma_encode(5000, sink)
-        shifted_gamma_encode(0, sink)
+        gamma_encode(5000 + 1, sink)
+        gamma_encode(0 + 1, sink)
         gamma_encode(3, sink)
         data = write_container(SCHEME_HALFLINE, 3, sink)
         with pytest.raises(FormatError):
@@ -188,8 +187,8 @@ class TestScheme:
     def test_rejects_offset_holding_no_double(self):
         # R(62, 2**61 - 1) would decode to 4.0, outside bin [3, 4)
         sink = encode_multiset(*runs([4, 4, 4]))
-        shifted_gamma_encode(62, sink)
-        shifted_gamma_encode(2**61 - 1, sink)
+        gamma_encode(62 + 1, sink)
+        gamma_encode(2**61 - 1 + 1, sink)
         gamma_encode(3, sink)
         data = write_container(SCHEME_HALFLINE, 3, sink)
         with pytest.raises(FormatError):
@@ -211,8 +210,8 @@ class TestScheme:
         # i - 1 lies between two doubles: the samples would round to another
         # bin (or, for the last bin, to 2**63, past every bin)
         sink = encode_multiset([i], [2])
-        shifted_gamma_encode(0, sink)
-        shifted_gamma_encode(0, sink)
+        gamma_encode(0 + 1, sink)
+        gamma_encode(0 + 1, sink)
         gamma_encode(2, sink)
         with pytest.raises(FormatError, match="left end"):
             desimulate(write_container(SCHEME_HALFLINE, 2, sink), RandomSource.from_seed(1))

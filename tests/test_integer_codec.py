@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import dsim
 from dsim.bitcodes import (
+    HEADER_SIZE,
     MAX_VALUE,
     SCHEME_INTEGER,
     BitSink,
@@ -19,6 +20,7 @@ from dsim.bitcodes import (
     FormatError,
     TruncatedStreamError,
     gamma_encode,
+    read_container,
     read_header,
     write_container,
 )
@@ -171,6 +173,22 @@ class TestValidation:
         with pytest.raises(FormatError):
             decode_bitstring("10011", 2)
 
+    def test_zero_run_after_a_zero_run_rejected(self):
+        # [5, 5, 5] as the encoder writes it, gamma(5) 0 gamma(2), and as two
+        # zero runs, gamma(5) 0 gamma(1) 0 gamma(1): payload bytes 29 00 and 2a 80
+        assert decode_bitstring("001010010", 3) == [5, 5, 5]
+        sink = BitSink()
+        sink.write_bits(0b001010101, 9)
+        data = write_container(SCHEME_INTEGER, 3, sink)
+        assert data[HEADER_SIZE:] == bytes.fromhex("2a80")
+        with pytest.raises(FormatError, match="zero run follows a zero run"):
+            desimulate(data, RandomSource.from_seed(1))
+
+    def test_n_outside_the_header_range_rejected(self):
+        for n in (-1, MAX_VALUE + 1, 2**64):
+            with pytest.raises(ValueError):
+                decode_multiset(from_bitstring("1"), n)
+
     def test_running_count_past_int64_rejected(self):
         # gamma(5) then "0" + gamma(2**63 - 1): 2**63 values, one more than an
         # int64 run start holds
@@ -194,7 +212,7 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLI
 one_bit = BitSink()
 one_bit.write_bit(1)
 for codec, scheme in ((integer_codec, SCHEME_INTEGER), (halfline_codec, SCHEME_HALFLINE)):
-    for n in (2**28, 2**40, 2**64 - 1):
+    for n in (2**28, 2**40, 2**63 - 1):
         for payload in (BitSink(), one_bit):
             try:
                 codec.desimulate(write_container(scheme, n, payload), RandomSource.from_seed(1))
@@ -212,6 +230,36 @@ class TestDeclaredCount:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["TruncatedStreamError"] * 12
+
+
+# int payloads to mutate, each with its n: small and wide values, long and short runs
+CANARY_PAYLOADS = [(to_bitstring(encode_multiset(*runs(dist.sample(RandomSource.from_seed(seed), n)))), n)
+                   for dist, n, seed in ((geometric(0.7), 300, 1), (zipf(2.5), 40, 2), (geometric(0.3), 12, 3))]
+
+
+@st.composite
+def mutated_int_containers(draw):
+    """An int canary with bits flipped, its payload cut short, or its header's n changed."""
+    bits, n = draw(st.sampled_from(CANARY_PAYLOADS))
+    bits = list(bits)
+    for i in draw(st.lists(st.integers(0, len(bits) - 1), max_size=6)):
+        bits[i] = "10"[int(bits[i])]
+    if draw(st.booleans()):
+        bits = bits[:draw(st.integers(0, len(bits)))]
+    sink = BitSink()
+    sink.write_bits(int("".join(bits) or "0", 2), len(bits))
+    return write_container(SCHEME_INTEGER, draw(st.one_of(st.just(n), st.integers(max(n - 3, 0), n + 3))), sink)
+
+
+@given(mutated_int_containers())
+@settings(max_examples=300, deadline=None)
+def test_accepted_containers_reencode_byte_for_byte(data):
+    # the decoder accepts only what the encoder writes: one container per multiset
+    try:
+        decoded = read_container(data, SCHEME_INTEGER, decode_multiset)
+    except (FormatError, TruncatedStreamError):
+        return
+    assert write_container(SCHEME_INTEGER, read_header(data).n, encode_multiset(*decoded)) == data
 
 
 class TestScheme:
