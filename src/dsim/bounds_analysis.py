@@ -143,10 +143,10 @@ def exact_expected_length_unit(f: MonotonePdf, n: int, k_max: int = 8) -> float:
     cuts = (1 << np.arange(int(n).bit_length()))[:, None] - 1  # P(M >= 2**j) = sf(2**j - 1)
     total = 0.0
     for k in range(k_max + 1):
-        offsets = range(1 if k == 0 else 2 ** (k - 1))
+        offsets = np.arange(1 if k == 0 else 2 ** (k - 1))
         # rounding can push an area a hair past 1, where the binomial is undefined
-        areas = np.minimum([rect_area(k, a, f) for a in offsets], 1.0)
-        heads = np.array([gamma_length(k + 1) + gamma_length(a + 1) + 1 for a in offsets])
+        areas = np.minimum(rect_area(k, offsets, f), 1.0)
+        heads = np.array([gamma_length(k + 1) + gamma_length(a + 1) + 1 for a in offsets.tolist()])
         tail = _binom.sf(cuts, n, areas)
         total += float(heads @ tail[0] + 2.0 * tail[1:].sum())
     return total

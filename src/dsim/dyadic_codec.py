@@ -82,46 +82,49 @@ class DepthExceededError(ValueError):
     """No rectangle with depth k <= MAX_DEPTH contains the point."""
 
 
-def _offset_in_range(k: int, a: int) -> bool:
-    # R(k, a)'s x-interval holds a double exactly when a is one (as every int
-    # below 2**53 is): otherwise the next double above a * 2**(1-k) is at
-    # least (a + 1) * 2**(1-k)
-    return (0 <= k <= MAX_DEPTH and 0 <= a <= ((1 << (k - 1)) - 1 if k else 0)
-            and (a < 1 << 53 or float(a) == a))
-
-
 def _bad_offsets(ks: np.ndarray, offs: np.ndarray) -> np.ndarray:
-    """Indices of the (k, a) pairs of two int64 arrays that _offset_in_range rejects.
+    """Indices of the (k, a) pairs of two int64 arrays that name no rectangle.
 
-    For 0 <= k <= 62, a < max(2**(k-1), 1) exactly when (2a) >> k is 0, an
-    int64 2a wrapping negative for a >= 2**62; up to depth 54 such an a holds
-    a double.
+    R(k, a)'s x-interval holds a double exactly when a is one (as every int
+    below 2**53 is): otherwise the next double above a * 2**(1-k) is at least
+    (a + 1) * 2**(1-k).  For 0 <= k <= 62, a < max(2**(k-1), 1) exactly when
+    (2a | a) >> k is 0: 2a wraps negative for a >= 2**62, and | a keeps the
+    sign 2a loses at a = -2**63.  Up to depth 54 such an a holds a double.
     """
     # as unsigned, a negative depth is past 54 too
-    if not ks.size or ks.view(np.uint64).max() <= 54 and not ((offs << 1) >> ks).any():
+    if not ks.size or ks.view(np.uint64).max() <= 54 and not ((offs << 1 | offs) >> ks).any():
         return np.zeros(0, dtype=np.intp)
     ok = (ks >= 0) & (ks <= MAX_DEPTH)
-    ok &= ((offs << 1) >> ks.clip(0, MAX_DEPTH)) == 0
+    ok &= ((offs << 1 | offs) >> ks.clip(0, MAX_DEPTH)) == 0
     big = np.flatnonzero(ok & (offs >= 1 << 53))
     a = offs.take(big)  # below 2**61, so its double converts back exactly
     ok[big] = a.astype(float).astype(np.int64) == a
     return np.flatnonzero(~ok)
 
 
-def rect_bounds(k: int, a: int, f) -> tuple[float, float, float, float]:
-    """Corners (x_lo, x_hi, y_lo, y_hi) of rectangle R(k, a)."""
-    if not _offset_in_range(k, a):
-        raise ValueError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}")
-    x_lo = a * 2.0 ** (1 - k)
-    x_hi = (2 * a + 1) * 2.0 ** -k
-    y_lo = f.pdf((a + 1) * 2.0 ** (1 - k)) if k else 0.0
-    y_hi = f.pdf((2 * a + 1) * 2.0 ** -k)
-    return x_lo, x_hi, y_lo, y_hi
+def _x_intervals(k, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ks, x_lo, width) of each R(k, a), elementwise over int arrays k and a; x_lo is exact."""
+    try:
+        ks, offs = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(a, dtype=np.int64))
+    except OverflowError:  # an int past int64 names no rectangle either
+        raise ValueError(f"no rectangle R(k={k}, a={a}) at depth <= {MAX_DEPTH}") from None
+    bad = _bad_offsets(ks.reshape(-1), offs.reshape(-1))
+    if bad.size:
+        raise ValueError(f"no rectangle R(k={ks.flat[bad[0]]}, a={offs.flat[bad[0]]}) at depth <= {MAX_DEPTH}")
+    width = np.ldexp(1.0, -ks)
+    return ks, offs * (2.0 * width), width
 
 
-def rect_area(k: int, a: int, f) -> float:
+def rect_bounds(k, a, f):
+    """Corners (x_lo, x_hi, y_lo, y_hi) of each rectangle R(k, a), elementwise over int arrays k and a."""
+    ks, x_lo, width = _x_intervals(k, a)
+    x_hi = x_lo + width  # as x_lo is exact, this and x_lo + 2 * width each round once
+    return x_lo, x_hi, np.where(ks > 0, f.pdf(x_lo + 2 * width), 0.0)[()], f.pdf(x_hi)
+
+
+def rect_area(k, a, f):
     x_lo, x_hi, y_lo, y_hi = rect_bounds(k, a, f)
-    return (x_hi - x_lo) * max(y_hi - y_lo, 0.0)
+    return (x_hi - x_lo) * np.maximum(y_hi - y_lo, 0.0)
 
 
 def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, shift=0.0, which=0):
@@ -341,11 +344,7 @@ def decode_triples(source: BitSource, n) -> np.ndarray:
 def points_from_triples(triples, gen) -> np.ndarray:
     """Fresh uniforms on each (k, a, count) row's x-interval, concatenated in row order."""
     ks, offs, counts = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
-    bad = _bad_offsets(ks, offs)
-    if bad.size:
-        raise ValueError(f"no rectangle R(k={ks[bad[0]]}, a={offs[bad[0]]}) at depth <= {MAX_DEPTH}")
-    width = np.ldexp(1.0, -ks)
-    lo = offs * (2.0 * width)
+    _, lo, width = _x_intervals(ks, offs)
     # one draw of all the uniforms equals the per-row draws in row order
     out = gen.random(int(counts.sum()))
     out *= np.repeat(width, counts)

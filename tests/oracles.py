@@ -1,6 +1,7 @@
-"""Test-only references: the scalar rectangle locator, the oracle for
-dyadic_codec.locate_batch, the codeword-at-a-time triple reader, the oracle
-for dyadic_codec.decode_triples, '0'/'1' string views of the bit streams,
+"""Test-only references: the scalar offset rule, the oracle for
+dyadic_codec._bad_offsets; the scalar rectangle locator, the oracle for
+dyadic_codec.locate_batch; the codeword-at-a-time triple reader, the oracle
+for dyadic_codec.decode_triples; '0'/'1' string views of the bit streams,
 the runs of a multiset, and one-shot reference encoders of the unit and
 half-line schemes."""
 
@@ -19,12 +20,18 @@ from dsim.dyadic_codec import (
     MAX_DEPTH,
     RETRY_BUDGET,
     DepthExceededError,
-    _offset_in_range,
     locate_batch,
     write_triples,
 )
 from dsim.halfline_codec import restrict_to_bin
 from dsim.integer_codec import encode_multiset
+
+
+def _offset_in_range(k: int, a: int) -> bool:
+    """True iff (k, a) names a rectangle: 0 <= k <= MAX_DEPTH, 0 <= a <=
+    max(2**(k-1) - 1, 0), and a is a double, so R(k, a)'s x-interval holds one."""
+    return (0 <= k <= MAX_DEPTH and 0 <= a <= ((1 << (k - 1)) - 1 if k else 0)
+            and (a < 1 << 53 or float(a) == a))
 
 
 def locate(x: float, y: float, f) -> tuple[int, int]:

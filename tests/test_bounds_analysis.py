@@ -131,6 +131,13 @@ class TestEnumerator:
         assert rect_area(0, 0, f) > 1.0
         assert exact_expected_length_unit(f, 100) == pytest.approx(15.0, rel=1e-6)
 
+    @pytest.mark.parametrize("k_max, bits", [(8, 810.0470278236539), (12, 892.3672249564853),
+                                             (15, 898.8685300835343)])
+    def test_pinned_values(self, k_max, bits):
+        # triangular at n = 1000, to the last bit of the float summed from
+        # rect_area's doubles and scipy's binomial survival function
+        assert exact_expected_length_unit(triangular(), 1000, k_max=k_max) == bits
+
     def test_nondecreasing_in_n(self):
         f = triangular()
         values = [exact_expected_length_unit(f, n) for n in (1, 10, 100, 1000)]

@@ -226,14 +226,6 @@ def test_counts_near_the_largest_n():
                 reader(from_bitstring(triple_bits([(0, 0, MAX_VALUE - 1), (1, 0, 2)])), n)
 
 
-def test_container_with_n_past_the_header_range():
-    # two counts of 2**62 sum to n = 2**63: the header is rejected before the
-    # triples are read, and before their sum could leave int64 in the expansion
-    data = frame(SCHEME_UNIT, 2**63, triple_bits([(0, 0, 2**62), (1, 0, 2**62)]))
-    with pytest.raises(FormatError):
-        dyadic_codec.desimulate(data, RandomSource.from_seed(1))
-
-
 @pytest.mark.parametrize("n", [-1, MAX_VALUE + 1, 2**64, np.array([MAX_VALUE, 1]), np.array([3, -1])])
 def test_n_outside_the_header_range(n):
     with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from dsim.distributions import MonotonePdf, exponential, pareto_flat, triangular
 from dsim.dyadic_codec import (
     MAX_DEPTH,
     DepthExceededError,
+    _bad_offsets,
     collect_triples,
     decode_triples,
     desimulate,
@@ -36,6 +37,7 @@ from dsim.dyadic_codec import (
 )
 from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
+import oracles
 from oracles import from_bitstring, halfline_reference, locate, unit_reference
 
 TRI = triangular()
@@ -48,19 +50,21 @@ TRUNCATED_EXP = restrict_to_bin(exponential(6.0), 1)
 
 
 def depth_area_sum(f, k: int) -> float:
-    """Total area of all rectangles at one depth, vectorized over chunks of
-    2**16 offsets so that memory stays bounded at any depth."""
-    if k == 0:
-        return rect_area(0, 0, f)
-    width = 2.0**-k
-    offsets = 2 ** (k - 1)
-    total = 0.0
-    for start in range(0, offsets, 2**16):
-        a = np.arange(start, min(start + 2**16, offsets), dtype=float)
-        y_hi = f.pdf((2.0 * a + 1.0) * width)
-        y_lo = f.pdf((a + 1.0) * (2.0 * width))
-        total += float((width * np.maximum(y_hi - y_lo, 0.0)).sum())
-    return total
+    """Total area of all rectangles at one depth, summed over chunks of 2**16
+    offsets so that memory stays bounded at any depth."""
+    cells = 1 if k == 0 else 2 ** (k - 1)
+    return sum(float(rect_area(k, np.arange(lo, min(lo + 2**16, cells)), f).sum())
+               for lo in range(0, cells, 2**16))
+
+
+@st.composite
+def offset_pairs(draw):
+    """A (k, a) pair, weighted to the edges of the offset rule: a near 0, near
+    the depth's cell count, near 2**52, 2**53, 2**61, 2**62 and +-2**63, or 2**64."""
+    k = draw(st.integers(-2, 64) | st.sampled_from([2**63, -2**63 - 1]))
+    top = 1 << min(max(k - 1, 0), 64)
+    near = draw(st.sampled_from([-2**63, 0, top, 2**52, 2**53, 2**61, 2**62, 2**63])) + draw(st.integers(-3, 3))
+    return k, draw(st.just(near) | st.integers(-2**63, 2**63 - 1) | st.just(2**64))
 
 
 class TestRectangles:
@@ -91,12 +95,6 @@ class TestRectangles:
             running += sum(rect_area(K, a, TRI) for a in range(2 ** (K - 1)))
             assert running == pytest.approx(1.0 - 2.0**-K, abs=1e-10)
 
-    def test_depth_area_sum_matches_rect_area(self):
-        f = restrict_to_bin(exponential(1.0), 1)
-        for k in range(0, 11):
-            direct = sum(rect_area(k, a, f) for a in range(1 if k == 0 else 2 ** (k - 1)))
-            assert depth_area_sum(f, k) == pytest.approx(direct, rel=1e-12)
-
     def test_partition_sums_other_density(self):
         f = restrict_to_bin(exponential(1.0), 1)
         total = sum(depth_area_sum(f, k) for k in range(25))
@@ -110,6 +108,35 @@ class TestRectangles:
         with pytest.raises(ValueError):
             rect_bounds(3, 4, TRI)
         rect_bounds(3, 3, TRI)  # largest admissible offset at depth 3
+
+    @given(pairs=st.lists(offset_pairs(), min_size=1, max_size=12),
+           f=st.sampled_from([TRI, restrict_to_bin(exponential(1.0), 1), STEEP_UNIT]))
+    @settings(max_examples=300, deadline=None)
+    # a sum rounded twice reads f one double off at (54, 2**52); 2a is 0 in int64 at a = -2**63
+    @example(pairs=[(54, 2**52), (0, -2**63)], f=TRI)
+    def test_one_offset_rule(self, pairs, f):
+        # the library's one rule against the oracle's scalar one, rect_bounds
+        # on arrays against rect_bounds on each pair, and its corners against
+        # f at the exact x values rounded once
+        named = [oracles._offset_in_range(k, a) for k, a in pairs]
+        in64 = [(k, a, ok) for (k, a), ok in zip(pairs, named) if -2**63 <= min(k, a) and max(k, a) < 2**63]
+        if in64:
+            ks, offs, ok = (np.array(col) for col in zip(*in64))
+            assert _bad_offsets(ks, offs).tolist() == np.flatnonzero(~ok).tolist()
+        for (k, a), ok in zip(pairs, named):
+            if not ok:
+                with pytest.raises(ValueError):
+                    rect_bounds(k, a, f)
+        if not all(named):
+            with pytest.raises(ValueError):
+                rect_bounds(*zip(*pairs), f)
+        good = [pair for pair, ok in zip(pairs, named) if ok]
+        if good:
+            scalar = np.array([rect_bounds(k, a, f) for k, a in good])
+            assert np.array(rect_bounds(*np.array(good).T, f)).T.tobytes() == scalar.tobytes()
+            for (k, a), corners in zip(good, scalar.tolist()):
+                x_lo, x_hi, x_next = (float(Fraction(m, 2**k)) for m in (2 * a, 2 * a + 1, 2 * a + 2))
+                assert corners == [x_lo, x_hi, f.pdf(x_next) if k else 0.0, f.pdf(x_hi)]
 
 
 def assert_batch_matches_scalar(xs, ys, f):

@@ -194,17 +194,6 @@ class TestScheme:
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
-    def test_rejects_bin_counts_past_int64(self):
-        # bin 5 with 2**63 values, then triples for them: the bins' multiset
-        # passes 2**63 - 1 values before any triple is read
-        sink = BitSink()
-        gamma_encode(5, sink)
-        sink.write_bit(0)
-        gamma_encode(2**63 - 1, sink)
-        write_triples([(0, 0, 2**62), (1, 0, 2**62)], sink)
-        with pytest.raises(FormatError):
-            desimulate(write_container(SCHEME_HALFLINE, 2**63, sink), RandomSource.from_seed(1))
-
     @pytest.mark.parametrize("i", [2**53 + 2, 2**62 + 3, 2**63 - 1])
     def test_rejects_bin_whose_left_end_is_no_double(self, i):
         # i - 1 lies between two doubles: the samples would round to another

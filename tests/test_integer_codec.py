@@ -19,7 +19,6 @@ from dsim.bitcodes import (
     BitSource,
     FormatError,
     TruncatedStreamError,
-    gamma_encode,
     read_container,
     read_header,
     write_container,
@@ -188,16 +187,6 @@ class TestValidation:
         for n in (-1, MAX_VALUE + 1, 2**64):
             with pytest.raises(ValueError):
                 decode_multiset(from_bitstring("1"), n)
-
-    def test_running_count_past_int64_rejected(self):
-        # gamma(5) then "0" + gamma(2**63 - 1): 2**63 values, one more than an
-        # int64 run start holds
-        sink = BitSink()
-        gamma_encode(5, sink)
-        sink.write_bit(0)
-        gamma_encode(2**63 - 1, sink)
-        with pytest.raises(FormatError):
-            desimulate(write_container(SCHEME_INTEGER, 2**63, sink), RandomSource.from_seed(1))
 
 
 # Decodes int and halfline containers whose header declares far more values

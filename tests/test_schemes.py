@@ -1,8 +1,8 @@
 """Properties shared by the three schemes: pinned container bytes, the
 encoders' memory at n = 10**6 (and the unit encoder's at 10**7), the unit
 encoder's page faults, the checks every codec makes on the kind of handle it
-is given and on the scheme of the container it decodes, the empty stream, and
-decoding of corrupted payloads."""
+is given and on the scheme of the container it decodes, the empty stream, the
+header's range of n, and decoding of corrupted payloads."""
 
 import hashlib
 import os
@@ -26,6 +26,7 @@ from dsim.bitcodes import (
     BitSink,
     FormatError,
     TruncatedStreamError,
+    gamma_encode,
     read_container,
     read_header,
     write_container,
@@ -197,6 +198,30 @@ def test_empty_stream_carries_no_payload(codec, scheme, dist):
     sink.write_bits(0b1011, 4)  # leftover bits are rejected at n = 0 as at n >= 1
     with pytest.raises(FormatError, match="unread payload bits"):
         codec.desimulate(write_container(scheme, 0, sink), RandomSource.from_seed(1))
+
+
+def payload_of_two_to_the_63_draws(scheme: int) -> BitSink:
+    """Draws of the value (or bin) 5 only, then, for a dyadic scheme, two
+    rectangles of 2**62 draws each."""
+    sink = BitSink()
+    if scheme != SCHEME_UNIT:
+        gamma_encode(5, sink)
+        sink.write_bit(0)
+        gamma_encode(2**63 - 1, sink)
+    if scheme != SCHEME_INTEGER:
+        dyadic_codec.write_triples([(0, 0, 2**62), (1, 0, 2**62)], sink)
+    return sink
+
+
+@pytest.mark.parametrize("codec, scheme", [
+    (integer_codec, SCHEME_INTEGER), (dyadic_codec, SCHEME_UNIT), (halfline_codec, SCHEME_HALFLINE),
+], ids=["int", "unit", "halfline"])
+def test_header_rejects_n_past_its_range_before_the_payload(codec, scheme):
+    # n = 2**63 with the payload that would draw it: the header's own message
+    # shows that no decoder reads a count past int64
+    data = write_container(scheme, 2**63, payload_of_two_to_the_63_draws(scheme))
+    with pytest.raises(FormatError, match=r"samples, more than 2\*\*63 - 1"):
+        codec.desimulate(data, RandomSource.from_seed(1))
 
 
 CODEC_LAWS = [(integer_codec, geometric(0.7)), (dyadic_codec, triangular()),
