@@ -1,21 +1,28 @@
-"""Bit-level streams, Elias gamma codes, and the on-disk container format.
+"""Bit-level payloads, Elias gamma codes, and the on-disk container format.
 
 All bit strings are most-significant-bit first: bit i of a stream lives in
-bit (7 - i % 8) of byte i // 8.  Codewords produced here are prefix free, so
-streams written back to back decode unambiguously.
+bit (7 - i % 8) of byte i // 8.
 
-read_gammas is the bulk gamma reader.  One compiled regex splits the bits
-after a BitSource's position into codewords, z zeros, a one and z more bits
-for z <= 62, and at most one error token, the rest of the bits, where none of
-those starts.  It tokenises GAMMA_WINDOW bits at a time, so its tokens stay a
-few MiB at any payload size, and hands each window's values to its caller as
-an int64 array; the caller says where to stop.
+A payload is a sequence of fields, an (F, 2) int64 array of (value, width)
+rows, each value written in its width of bits after the fields before it.
+The gamma codeword of Z in [1, 2**63 - 1] is the field (Z, gamma_length(Z)):
+floor(log2 Z) zeros, then Z in binary.  Gamma is the only integer code; a
+field that may be 0 is written as gamma of the field plus 1, and a flag bit
+is the field (0, 1) or (1, 1).  write_container packs every field of a
+container in one numpy pass.
 
-Gamma is the only integer code; a field that may be 0 is written as gamma of
-the field plus 1.  read_header alone bounds n, by MAX_VALUE, so every decoder
-counts in int64.  read_container is the one framed read of a payload: it
-accepts a payload only when the header names the scheme a codec decodes and
-the codec's parse(source, n) reads it to its last bit.
+A payload is read by one tokeniser: one compiled regex splits the bits after
+a BitSource's position into codewords, z zeros, a one and z more bits for
+z <= 62, and at most one error token, the rest of the bits, where none of
+those starts.  read_gammas reads bare codewords, read_flagged_gammas
+codewords each followed by a flag bit; both run one window loop, which hands
+its caller each window's values as an array, and the caller says where to
+stop.
+
+read_header alone bounds n, by MAX_VALUE, so every decoder counts in int64.
+read_container is the one framed read of a payload: it accepts a payload
+only when the header names the scheme a codec decodes and the codec's
+parse(source, n) reads it to its last bit.
 """
 
 from __future__ import annotations
@@ -29,25 +36,10 @@ from itertools import repeat
 import numpy as np
 
 __all__ = [
-    "MAX_VALUE",
-    "SCHEME_INTEGER",
-    "SCHEME_UNIT",
-    "SCHEME_HALFLINE",
-    "SCHEME_NAMES",
-    "HEADER_SIZE",
-    "FormatError",
-    "TruncatedStreamError",
-    "BitSink",
-    "BitSource",
-    "ContainerHeader",
-    "gamma_encode",
-    "gamma_decode",
-    "gamma_length",
-    "GAMMA_WINDOW",
-    "read_gammas",
-    "write_container",
-    "read_header",
-    "read_container",
+    "MAX_VALUE", "SCHEME_INTEGER", "SCHEME_UNIT", "SCHEME_HALFLINE", "SCHEME_NAMES", "HEADER_SIZE",
+    "FormatError", "TruncatedStreamError", "BitSource", "ContainerHeader", "bit_length", "gamma_length",
+    "GAMMA_WINDOW", "read_gammas", "read_flagged_gammas", "write_container", "read_header",
+    "read_container"
 ]
 
 MAX_VALUE = 2**63 - 1
@@ -71,56 +63,9 @@ class TruncatedStreamError(EOFError):
     """Bit stream ended before a complete codeword."""
 
 
-class BitSink:
-    """Append-only bit buffer."""
-
-    __slots__ = ("_bytes", "_acc", "_nacc")
-
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0  # pending bits, always < 8 of them
-        self._nacc = 0
-
-    def write_bit(self, bit: int) -> None:
-        self.write_bits(bit, 1)
-
-    def write_bits(self, value: int, width: int) -> None:
-        """Append ``width`` bits holding ``value``, most significant first."""
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        if value < 0 or value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        acc = (self._acc << width) | value
-        nacc = self._nacc + width
-        if nacc >= 8:
-            rest = nacc & 7
-            if nacc < 16:  # one whole byte, the common case of a codec's writes
-                self._bytes.append(acc >> rest)
-            else:  # the whole bytes in one conversion, so a wide write stays linear
-                self._bytes += (acc >> rest).to_bytes(nacc >> 3, "big")
-            acc &= (1 << rest) - 1
-            nacc = rest
-        self._acc = acc
-        self._nacc = nacc
-
-    @property
-    def bit_length(self) -> int:
-        return 8 * len(self._bytes) + self._nacc
-
-    def to_bytes(self) -> bytes:
-        """Buffer contents, final partial byte padded with zero bits."""
-        if self._nacc:
-            return bytes(self._bytes) + bytes([(self._acc << (8 - self._nacc)) & 0xFF])
-        return bytes(self._bytes)
-
-
 class BitSource:
-    """Bounded bit reader over a byte buffer.
-
-    The window is held as a string of '0' and '1' characters, read by slicing.
-    Reading past ``bit_length`` raises TruncatedStreamError; padding bits
-    beyond the declared payload are never silently served.
-    """
+    """A window of a byte buffer's bits, held as a '0'/'1' string for the
+    tokeniser; padding bits beyond ``bit_length`` are never served."""
 
     __slots__ = ("_bits", "_pos")
 
@@ -137,59 +82,68 @@ class BitSource:
     def bits_remaining(self) -> int:
         return len(self._bits) - self._pos
 
-    def read_bit(self) -> int:
-        return self.read_bits(1)
 
-    def read_bits(self, width: int) -> int:
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        pos = self._pos
-        end = pos + width
-        if end > len(self._bits):
-            raise TruncatedStreamError("bit stream exhausted")
-        self._pos = end
-        return int(self._bits[pos:end] or "0", 2)
+_POWERS = np.left_shift(1, np.arange(63, dtype=np.int64))  # 2**0 to 2**62
 
 
-def _check_value(z: int) -> int:
-    z = int(z)
-    if z < 1 or z > MAX_VALUE:
-        raise ValueError(f"gamma code is defined for 1 <= Z <= 2**63 - 1, got {z}")
-    return z
+def _as_int64(x) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=np.int64)
+    except OverflowError:  # a Python int past int64
+        raise ValueError("a value lies outside int64") from None
 
 
-def gamma_encode(z: int, sink: BitSink) -> None:
-    """Append the Elias gamma codeword for a positive integer.
+def bit_length(v):
+    """int.bit_length of each int64 value >= 0, exact where a double is not."""
+    return np.searchsorted(_POWERS, v, "right")
 
-    The codeword is N zeros followed by the (N+1)-bit binary expansion of Z,
-    where N = floor(log2 Z).  Writing Z in a field of 2N+1 bits produces
-    exactly that layout because the leading bit of Z is 1.
+
+def gamma_length(z):
+    """Exact codeword length in bits, 2*floor(log2 Z) + 1, of an int or elementwise of an int array."""
+    z = _as_int64(z)
+    if z.min(initial=1) < 1:
+        raise ValueError("gamma code is defined for 1 <= Z <= 2**63 - 1")
+    out = 2 * bit_length(z) - 1
+    return out if out.ndim else int(out)
+
+
+def _pack(fields: np.ndarray) -> tuple[bytes, int]:
+    """The bytes of (value, width) rows written back to back, and their bit count.
+
+    A field ends at the prefix sum of the widths.  Its value, below 2**63,
+    is shifted to end there in the uint64 word that holds its last bit, and
+    one reduceat ORs the fields of each word; the high part of a field that
+    crosses into the word before goes there, and as at most one field
+    crosses each word boundary, a fancy-index |= places them all.  It takes
+    2**16 fields at a time, so its temporaries stay small at any size.
     """
-    z = _check_value(z)
-    n = z.bit_length() - 1
-    sink.write_bits(z, 2 * n + 1)
-
-
-def gamma_decode(source: BitSource) -> int:
-    bits, pos = source._bits, source._pos
-    # the zero run: no admissible codeword starts with more than 62 zeros
-    one = bits.find("1", pos, pos + 63)
-    if one < 0:
-        if len(bits) - pos < 63:
-            raise TruncatedStreamError("bit stream exhausted")
-        raise FormatError("gamma prefix longer than any admissible value")
-    source._pos = one
-    return source.read_bits(one - pos + 1)  # the leading 1 and one bit per zero
-
-
-def gamma_length(z: int) -> int:
-    """Exact codeword length in bits: 2*floor(log2 Z) + 1."""
-    return 2 * (_check_value(z).bit_length() - 1) + 1
+    values, widths = fields.T
+    if widths.min(initial=0) < 0:
+        raise ValueError("a field needs a width >= 0")
+    bits = int(widths.sum())
+    words = np.zeros(bits // 64 + 1, dtype=np.uint64)
+    end = 0
+    for lo in range(0, len(fields), 1 << 16):
+        v, w = values[lo:lo + (1 << 16)], widths[lo:lo + (1 << 16)]
+        if (v >> np.minimum(w, 63)).any():
+            raise ValueError("a field needs a value >= 0 that fits in its width")
+        ends = w.cumsum() + end
+        end = int(ends[-1])
+        word = np.maximum(ends - 1, 0) >> 6
+        shift = (-ends & 63).astype(np.uint64)
+        v = v.astype(np.uint64)
+        first = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
+        words[word[first]] |= np.bitwise_or.reduceat(v << shift, first)
+        high = v >> np.uint64(1) >> (np.uint64(63) - shift)  # 0 where a field ends on a word's last bit
+        cross = np.flatnonzero(high)
+        words[word[cross] - 1] |= high[cross]
+    return words.astype(">u8").tobytes()[:(bits + 7) >> 3], bits
 
 
 @functools.cache
-def _gamma_regex() -> re.Pattern:
-    """The tokeniser, compiled on first use: an import that reads no triple skips its 2-4 ms.
+def _gamma_regex(flag: str) -> re.Pattern:
+    """The tokeniser of codewords each followed by flag, compiled on first use:
+    an import that reads no payload skips its 2-4 ms.
 
     One alternative per zero, nested, keeps a match linear in its length;
     "." matches a bit, as the string holds only '0' and '1'.
@@ -197,12 +151,56 @@ def _gamma_regex() -> re.Pattern:
     pattern = "1.{62}"
     for z in range(61, -1, -1):
         pattern = f"1.{{{z}}}|0(?:{pattern})"
-    return re.compile(f"(?:{pattern})|.+")
+    return re.compile(f"(?:{pattern}){flag}|.+")
 
 
-# A window of bits holds at most one token per bit: at 2**18 its token list
-# and values take at most 2 MiB each.
+# The largest window of bits tokenised at once, at least the 126 bits of the
+# longest token.  A window holds at most one token per bit: at 2**18 its token
+# list and values take at most 2 MiB each.
 GAMMA_WINDOW = 1 << 18
+
+
+def _read_tokens(source: BitSource, consume, flagged: bool) -> None:
+    """The window loop of read_gammas and read_flagged_gammas.
+
+    A flagged read, a multiset's, may stop long before the bits end, where
+    the triples of a half-line payload begin: its windows double from 2**8
+    bits up to GAMMA_WINDOW, so it tokenises little past where it stops.
+    Each window of a triple read, which ends with its payload, is
+    GAMMA_WINDOW bits.  A codeword is the odd-length part of a token; in the
+    flagged grammar an even-length token also holds the flag bit after its
+    codeword, which every token but the last in the bits has.  A token cut
+    by a window's end goes to the next window.
+    """
+    regex = _gamma_regex(".?" if flagged else "")
+    bits, pos, window = source._bits, source._pos, min(1 << 8 if flagged else GAMMA_WINDOW, GAMMA_WINDOW)
+    while True:
+        end = min(len(bits), pos + window)
+        window = min(2 * window, GAMMA_WINDOW)
+        tokens = regex.findall(bits, pos, end)
+        last = tokens[-1] if tokens else ""
+        code = last if len(last) % 2 else last[:-1]
+        whole = (len(code) <= 125 and 2 * code.find("1") + 1 == len(code)
+                 and (code != last or not flagged or end == len(bits)))
+        # the error token, if any, is the last
+        tail = tokens.pop() if tokens and not whole else ""
+        stop = end - len(tail)
+        values = np.fromiter(map(int, tokens, repeat(2)), np.uint64, len(tokens))
+        if flagged:
+            if tokens and len(tokens[-1]) % 2:  # the bits end after this codeword: a 1 asks for more
+                values[-1] = values[-1] << np.uint64(1) | np.uint64(1)
+            used = consume(values >> np.uint64(1), (values & np.uint64(1)).astype(bool))
+        else:
+            used = consume(values.view(np.int64))
+        if used is not None:
+            # right after the last codeword used, before any flag bit after it
+            source._pos = stop - sum(map(len, tokens[used:])) - (1 - len(tokens[used - 1]) % 2)
+            return
+        source._pos = pos = stop
+        if tail.startswith("0" * 63):
+            raise FormatError("gamma prefix longer than any admissible value")
+        if end == len(bits):
+            raise TruncatedStreamError("bit stream exhausted")
 
 
 def read_gammas(source: BitSource, consume) -> None:
@@ -210,28 +208,22 @@ def read_gammas(source: BitSource, consume) -> None:
 
     consume(values) takes the int64 values of a window's codewords in stream
     order and returns None to ask for the next window, or how many of them it
-    used, which leaves source right after the last of those.  A window ends
-    before a malformed codeword; asked for more after it, the read raises what
-    gamma_decode would there: FormatError on 63 zeros in a row, else
-    TruncatedStreamError.
+    used (at least 1), which leaves source right after the last of those.  A
+    window ends before a malformed codeword; asked for more after it, the
+    read raises what a codeword-at-a-time reader would there: FormatError on
+    63 zeros in a row, else TruncatedStreamError.
     """
-    bits, pos = source._bits, source._pos
-    while True:
-        end = min(len(bits), pos + GAMMA_WINDOW)
-        tokens = _gamma_regex().findall(bits, pos, end)
-        # the error token, if any, is the last; a codeword has z zeros, a one, z bits
-        tail = tokens.pop() if tokens and not (
-            len(tokens[-1]) <= 125 and 2 * tokens[-1].find("1") + 1 == len(tokens[-1])) else ""
-        stop = end - len(tail)
-        used = consume(np.fromiter(map(int, tokens, repeat(2)), np.int64, len(tokens)))
-        if used is not None:
-            source._pos = stop - sum(map(len, tokens[used:]))
-            return
-        source._pos = pos = stop
-        if tail.startswith("0" * 63):
-            raise FormatError("gamma prefix longer than any admissible value")
-        if end == len(bits):
-            raise TruncatedStreamError("bit stream exhausted")
+    _read_tokens(source, consume, False)
+
+
+def read_flagged_gammas(source: BitSource, consume) -> None:
+    """read_gammas over codewords each followed by a flag bit, but the last in the bits.
+
+    consume(values, flags) takes a window's values, as uint64, and the bool
+    flag after each, True for a last codeword with no bit after it, which
+    asks for more; source is left after the codeword, not the flag.
+    """
+    _read_tokens(source, consume, True)
 
 
 @dataclass(frozen=True)
@@ -241,14 +233,15 @@ class ContainerHeader:
     payload_bits: int
 
 
-def write_container(scheme: int, n: int, payload: BitSink) -> bytes:
-    """Frame a payload: magic, version, scheme byte, sample count, bit count."""
+def write_container(scheme: int, n: int, fields) -> bytes:
+    """Frame a payload of (value, width) fields, packed in one pass: magic,
+    version, scheme byte, sample count, bit count, then the payload."""
     if scheme not in SCHEME_NAMES:
         raise ValueError(f"unknown scheme byte {scheme:#x}")
     if n < 0 or n >= 2**64:
         raise ValueError("sample count out of range for the header")
-    header = MAGIC + struct.pack("<BBQQ", VERSION, scheme, n, payload.bit_length)
-    return header + payload.to_bytes()
+    payload, bits = _pack(_as_int64(fields).reshape(-1, 2))
+    return MAGIC + struct.pack("<BBQQ", VERSION, scheme, n, bits) + payload
 
 
 def read_header(data: bytes) -> ContainerHeader:

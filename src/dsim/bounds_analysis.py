@@ -146,7 +146,7 @@ def exact_expected_length_unit(f: MonotonePdf, n: int, k_max: int = 8) -> float:
         offsets = np.arange(1 if k == 0 else 2 ** (k - 1))
         # rounding can push an area a hair past 1, where the binomial is undefined
         areas = np.minimum(rect_area(k, offsets, f), 1.0)
-        heads = np.array([gamma_length(k + 1) + gamma_length(a + 1) + 1 for a in offsets.tolist()])
+        heads = gamma_length(k + 1) + gamma_length(offsets + 1) + 1
         tail = _binom.sf(cuts, n, areas)
         total += float(heads @ tail[0] + 2.0 * tail[1:].sum())
     return total
@@ -161,8 +161,7 @@ def truncated_payload_bits(data: bytes, k_max: int = 8) -> int:
     """
     _require(k_max >= 0, "k_max must be >= 0")
     rows = read_container(data, SCHEME_UNIT, dyadic_codec.decode_triples)
-    return sum(gamma_length(k + 1) + gamma_length(a + 1) + gamma_length(count)
-               for k, a, count in rows[rows[:, 0] <= k_max].tolist())
+    return int(dyadic_codec.write_triples(rows[rows[:, 0] <= k_max])[:, 1].sum())
 
 
 @dataclass(frozen=True)

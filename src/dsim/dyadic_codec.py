@@ -13,21 +13,22 @@ x-coordinate is uniform on that rectangle's x-interval.
 
 The codeword lists the occupied rectangles in lexicographic (k, a) order,
 which is the order of their heap nodes 2**(k-1) + a (node 0 for k = 0), each
-as gamma(k + 1), gamma(a + 1), gamma(count).  For this scheme and
-the half-line scheme, collect_triples is the one path from located points to
-triples and write_triples the one writer of that layout; each takes every
-half-line bin in one call, their triples in bin order; collect_triples keeps
-only counts of the CHUNK points each locator call places, so the unit
-encoder's memory does not grow with n.  No rectangle lies deeper than
-MAX_DEPTH, the only depth: the locator searches every depth up to it,
-collect_triples redraws the rare point that none catches, and the decoder
-rejects deeper triples.
+as gamma(k + 1), gamma(a + 1), gamma(count).  For this scheme and the
+half-line scheme, collect_triples is the one path from located points to
+triples, as a (T, 3) array, and write_triples the one writer of that layout,
+as bitcodes fields; each takes every half-line bin in one call, their
+triples in bin order; collect_triples keeps only counts of the CHUNK points
+each locator call places, so the unit encoder's memory does not grow with n.
+No rectangle lies deeper than MAX_DEPTH, the only depth: the locator
+searches every depth up to it, collect_triples redraws the rare point that
+none catches, and the decoder rejects deeper triples.
 
 decode_triples reads the triples back in bulk, every half-line bin in one
 call and a lone total as one bin, as one (T, 3) int64 array of (k, a, count)
 rows: bitcodes.read_gammas hands it the payload's gamma values a window at a
 time, and it checks each window's rows with a few array operations, raising
-the exception class a codeword-at-a-time reader would meet first.
+the exception class a codeword-at-a-time reader would meet first; it
+accepts a bin's rows only in increasing (k, a) order.
 points_from_triples expands that array with one draw.
 """
 
@@ -37,33 +38,14 @@ import copy
 
 import numpy as np
 
-from .bitcodes import (
-    MAX_VALUE,
-    SCHEME_UNIT,
-    BitSink,
-    BitSource,
-    FormatError,
-    gamma_encode,
-    read_container,
-    read_gammas,
-    write_container,
-)
+from .bitcodes import (MAX_VALUE, SCHEME_UNIT, BitSource, FormatError, bit_length, gamma_length, read_container,
+                       read_gammas, write_container)
 from .distributions import MonotonePdf
 from .rng import RandomSource
 
 __all__ = [
-    "CHUNK",
-    "MAX_DEPTH",
-    "RETRY_BUDGET",
-    "DepthExceededError",
-    "rect_bounds",
-    "rect_area",
-    "locate_batch",
-    "write_triples",
-    "decode_triples",
-    "points_from_triples",
-    "simulate",
-    "desimulate",
+    "CHUNK", "MAX_DEPTH", "RETRY_BUDGET", "DepthExceededError", "rect_bounds", "rect_area",
+    "locate_batch", "write_triples", "decode_triples", "points_from_triples", "simulate", "desimulate"
 ]
 
 MAX_DEPTH = 62
@@ -207,8 +189,9 @@ def _hypograph_draw(f, gen, heights, size: int):
     return xs, ys
 
 
-def collect_triples(located, resample_from) -> list[tuple[int, int, int]]:
-    """(k, a, count) triples of located hypograph points, bin by bin in (k, a) order.
+def collect_triples(located, resample_from) -> np.ndarray:
+    """(k, a, count) rows of located hypograph points, bin by bin in (k, a) order,
+    as the (T, 3) int64 array decode_triples returns.
 
     located yields locate_batch's (ks, offs, bad) for runs of points, each with
     its non-decreasing bins if it took which.  Only counts are kept; after the
@@ -239,8 +222,8 @@ def collect_triples(located, resample_from) -> list[tuple[int, int, int]]:
         else:
             raise DepthExceededError(f"depth budget still exhausted after {RETRY_BUDGET} resamples")
     _, nodes, counts = _merged(counted or [(np.zeros(0, dtype=np.int64),) * 3])
-    return [(node.bit_length(), node - (1 << node.bit_length() >> 1), count)
-            for node, count in zip(nodes.tolist(), counts.tolist())]
+    ks = bit_length(nodes)
+    return np.stack((ks, nodes - ((1 << ks) >> 1), counts), axis=1)
 
 
 def _count_rectangles(ks: np.ndarray, offs: np.ndarray, which: np.ndarray):
@@ -276,12 +259,10 @@ def _merged(parts):
     return bins[order[first]], nodes[order[first]], np.add.reduceat(counts[order], first)
 
 
-def write_triples(triples, sink: BitSink) -> None:
-    """Append each (k, a, count) as gamma(k + 1), gamma(a + 1), gamma(count)."""
-    for k, a, count in triples:
-        gamma_encode(k + 1, sink)
-        gamma_encode(a + 1, sink)
-        gamma_encode(count, sink)
+def write_triples(rows) -> np.ndarray:
+    """The fields of each (k, a, count) row: gamma(k + 1), gamma(a + 1), gamma(count)."""
+    values = np.asarray(rows, dtype=np.int64).reshape(-1, 3) + (1, 1, 0)
+    return np.stack((values, gamma_length(values)), axis=-1).reshape(-1, 2)
 
 
 def decode_triples(source: BitSource, n) -> np.ndarray:
@@ -291,9 +272,11 @@ def decode_triples(source: BitSource, n) -> np.ndarray:
     their counts summing to its total; a lone n is one bin.  n, or the bins'
     sum, lies in [0, MAX_VALUE], as in a header, else ValueError.  A fault
     raises the class a codeword-at-a-time reader would meet first: a codeword's
-    own (read_gammas), or FormatError for an R(k, a) deeper than MAX_DEPTH or
-    with an offset its depth does not admit, read before the last bin ends, or
-    for a count that passes its bin's total.  Totals of 0 read no bit.
+    own (read_gammas), or FormatError for an R(k, a) deeper than MAX_DEPTH,
+    with an offset its depth does not admit, or whose heap node is not above
+    the one before it in its bin, read before the last bin ends, or for a
+    count that passes its bin's total.  So a payload it accepts is the one
+    write_triples writes of its rows.  Totals of 0 read no bit.
     """
     bins = np.reshape(n, -1)
     ends = bins.cumsum()  # where each bin's counts end; an int64 sum that wraps turns negative
@@ -302,10 +285,10 @@ def decode_triples(source: BitSource, n) -> np.ndarray:
     total = int(ends[-1]) if ends.size else 0
     if not total:
         return np.zeros((0, 3), dtype=np.int64)
-    rows, carry, done = [], np.zeros(0, dtype=np.int64), 0
+    rows, carry, done, last = [], np.zeros(0, dtype=np.int64), 0, -1
 
     def consume(values):
-        nonlocal carry, done
+        nonlocal carry, done, last
         v = np.concatenate((carry, values)) if carry.size else values
         m = v.size // 3
         u = v - 1  # gamma values less 1 are k and a
@@ -328,13 +311,23 @@ def decode_triples(source: BitSource, n) -> np.ndarray:
         reach = reach[:stop + 1]
         lo, hi = ends.searchsorted([done, min(done + int(reach[-1]), total) if m else done], "right")
         targets = (ends[lo:hi] - done).astype(np.uint64)
-        if (reach.take(reach.searchsorted(targets)) != targets).any():
+        at = reach.searchsorted(targets)
+        if (reach.take(at) != targets).any():
             raise FormatError("triple counts overshoot the declared total")
+        # a bin's heap nodes increase, the row after a bin's last starts afresh
+        nodes = np.left_shift(1, u[:3 * p:3]) >> 1
+        nodes += u[1:3 * p:3]
+        up = np.concatenate((nodes[:1] > last, nodes[1:] > nodes[:-1]))
+        up[at[at + 1 < p] + 1] = True
+        if not up.all():
+            raise FormatError("a bin's rectangles are out of (k, a) order")
         rows.append(block[:stop + 1])
         if stop < m:
             return 3 * (stop + 1) - carry.size
         carry = v[3 * m:]
-        done += int(reach[-1]) if m else 0
+        if m:
+            done += int(reach[-1])
+            last = -1 if at.size and at[-1] == m - 1 else int(nodes[m - 1])
         return None
 
     read_gammas(source, consume)
@@ -363,9 +356,7 @@ def simulate(f, n: int, rng: RandomSource) -> bytes:
     heights = gen if n <= CHUNK else np.random.Generator(copy.deepcopy(gen.bit_generator).advance(n))
     located = (locate_batch(*_hypograph_draw(f, gen, heights, min(CHUNK, n - lo)), f)
                for lo in range(0, n, CHUNK))
-    sink = BitSink()
-    write_triples(collect_triples(located, lambda _: (f, rng.child("retry"))), sink)
-    return write_container(SCHEME_UNIT, n, sink)
+    return write_container(SCHEME_UNIT, n, write_triples(collect_triples(located, lambda _: (f, rng.child("retry")))))
 
 
 def desimulate(data: bytes, rng: RandomSource) -> np.ndarray:

@@ -17,7 +17,8 @@ against f shifted into their bins, unnormalised: scaling a bin's density
 scales its heights alike.  The call takes the left ends of the chunk's bins
 and each point's bin as arrays; a bin's density is 0 past 1, so R(0, 0)'s
 lower edge is 0.  One collect_triples call counts every chunk and one
-write_triples call writes every bin, in bin order.  Only a bin with a point
+write_triples call writes every bin, in bin order, after the multiset's
+fields; write_container packs them all at once.  Only a bin with a point
 that no rectangle up to MAX_DEPTH catches builds its normalised law
 (restrict_to_bin), for collect_triples to redraw it.
 
@@ -35,12 +36,7 @@ import numpy as np
 from .bitcodes import SCHEME_HALFLINE, FormatError, read_container, write_container
 from .distributions import MonotonePdf
 from . import dyadic_codec
-from .dyadic_codec import (
-    collect_triples,
-    decode_triples,
-    points_from_triples,
-    write_triples,
-)
+from .dyadic_codec import collect_triples, decode_triples, points_from_triples, write_triples
 from .integer_codec import decode_multiset, encode_multiset
 from .rng import RandomSource
 
@@ -117,7 +113,7 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
     del key  # the located chunks need only the order
     uniq = uniq.astype(np.int64) + 1
     edges = np.append(0, counts.cumsum())
-    sink = encode_multiset(uniq, counts)
+    bins = encode_multiset(uniq, counts)
     shift = (uniq - 1).astype(float)  # per bin, its left end
     heights = rng.child("heights").gen  # its slices in turn are the per-bin draws in bin order
 
@@ -132,9 +128,9 @@ def simulate(f: MonotonePdf, n: int, rng: RandomSource) -> bytes:
             yield *dyadic_codec.locate_batch(v - shift[j0:j1].take(w), ys, f, shift=shift[j0:j1],
                                              which=w), w + j0
 
-    write_triples(collect_triples(located(), lambda j: (
-        restrict_to_bin(f, int(uniq[j])), rng.child("retry", int(uniq[j])))), sink)
-    return write_container(SCHEME_HALFLINE, n, sink)
+    triples = collect_triples(located(), lambda j: (
+        restrict_to_bin(f, int(uniq[j])), rng.child("retry", int(uniq[j]))))
+    return write_container(SCHEME_HALFLINE, n, np.concatenate((bins, write_triples(triples))))
 
 
 def _read_bins(source, n: int):

@@ -25,12 +25,12 @@ from dsim.bounds_analysis import (
     truncated_payload_bits,
     verify_trial,
 )
-from dsim.bitcodes import (SCHEME_UNIT, BitSink, FormatError, gamma_length, read_container, read_header,
-                           write_container)
+from dsim.bitcodes import SCHEME_UNIT, FormatError, gamma_length, read_container, read_header, write_container
 from dsim.distributions import MonotonePdf, exponential, geometric, pareto_flat, triangular, zipf
 from dsim.dyadic_codec import decode_triples, rect_area
 from dsim.dyadic_codec import desimulate as unit_desimulate, simulate as unit_simulate
 from dsim.rng import RandomSource
+from oracles import bit_fields, read_bits
 
 
 class TestBounds:
@@ -183,11 +183,9 @@ class TestTruncatedPayload:
         # the unit decoder rejects the same container
         data = unit_simulate(triangular(), 50, RandomSource.from_seed(12))
         header = read_header(data)
-        sink = BitSink()
-        sink.write_bits(read_container(data, SCHEME_UNIT, lambda source, n: source.read_bits(header.payload_bits)),
-                        header.payload_bits)
-        sink.write_bits(0b101, 3)
-        data = write_container(SCHEME_UNIT, header.n, sink)
+        bits = read_container(data, SCHEME_UNIT, lambda source, n: format(
+            read_bits(source, header.payload_bits), f"0{header.payload_bits}b"))
+        data = write_container(SCHEME_UNIT, header.n, bit_fields(bits + "101"))
         with pytest.raises(FormatError, match="3 unread payload bits"):
             truncated_payload_bits(data)
         with pytest.raises(FormatError, match="3 unread payload bits"):

@@ -16,7 +16,6 @@ from dsim.bitcodes import (
     MAX_VALUE,
     SCHEME_HALFLINE,
     SCHEME_UNIT,
-    BitSink,
     FormatError,
     TruncatedStreamError,
     read_container,
@@ -24,11 +23,12 @@ from dsim.bitcodes import (
     write_container,
 )
 from dsim.distributions import exponential, pareto_flat, triangular
-from dsim.dyadic_codec import decode_triples
+from dsim.dyadic_codec import decode_triples, write_triples
 from dsim.halfline_codec import restrict_to_bin
+from dsim.integer_codec import encode_multiset
 from dsim.rng import RandomSource
 import oracles
-from oracles import from_bitstring
+from oracles import bit_fields, from_bitstring
 
 
 def gamma(v: int) -> str:
@@ -40,9 +40,7 @@ def triple_bits(triples) -> str:
 
 
 def frame(scheme: int, n: int, bits: str) -> bytes:
-    sink = BitSink()
-    sink.write_bits(int(bits or "0", 2), len(bits))
-    return write_container(scheme, n, sink)
+    return write_container(scheme, n, bit_fields(bits))
 
 
 def payload(data: bytes) -> str:
@@ -97,6 +95,45 @@ def test_bulk_reader_matches_the_scalar_reader(case):
     assert outcome(data, scheme, scalar=False) == outcome(data, scheme, scalar=True)
 
 
+@given(mutated_canaries())
+@settings(max_examples=300, deadline=None)
+def test_accepted_containers_reencode_byte_for_byte(case):
+    # the decoders accept only what the encoders write: one container per
+    # multiset of bins and rectangles
+    scheme, data = case
+    try:
+        if scheme == SCHEME_UNIT:
+            fields = write_triples(read_container(data, scheme, decode_triples))
+        else:
+            uniq, counts, rows = read_container(data, scheme, halfline_codec._read_bins)
+            fields = np.concatenate((encode_multiset(uniq, counts), write_triples(rows)))
+    except (FormatError, TruncatedStreamError):
+        return
+    assert write_container(scheme, read_header(data).n, fields) == data
+
+
+@pytest.mark.parametrize("triples, n", [
+    ([(2, 0, 1), (1, 0, 1), (2, 0, 1)], 3),  # R(2, 0) twice, around R(1, 0)
+    ([(0, 0, 1), (0, 0, 1)], 2),
+    ([(3, 1, 1), (3, 0, 1)], 2),
+    ([(1, 0, 1), (0, 0, 1)], 2),
+    ([(40, a, 1) for a in range(GAMMA_WINDOW // 80)] * 2, np.array([GAMMA_WINDOW // 80 - 1, GAMMA_WINDOW // 80 + 1])),
+], ids=["repeat-around", "repeat-root", "offset-down", "depth-down", "across-windows"])
+def test_rectangles_out_of_order_in_a_bin_rejected(triples, n):
+    for reader in (decode_triples, oracles.decode_triples):
+        with pytest.raises(FormatError):
+            reader(from_bitstring(triple_bits(triples)), n)
+
+
+def test_each_bin_starts_its_order_afresh():
+    # one row per bin of R(0, 0), or of a node above the last bin's, across window edges
+    triples = [(0, 0, 1)] * 500 + [(5, 3, 2), (1, 0, 1), (4, 1, 1)]
+    bins = np.array([1] * 500 + [2, 2])
+    with mock.patch.object(bitcodes, "GAMMA_WINDOW", 125):
+        for reader in (decode_triples, oracles.decode_triples):
+            assert read(reader, triple_bits(triples), bins) == ([list(t) for t in triples], 0)
+
+
 def read(reader, bits: str, n):
     """The rows a bit string's triples decode to and the bits left after them,
     or the class of what the read raised."""
@@ -110,12 +147,14 @@ def read(reader, bits: str, n):
 
 @st.composite
 def triple_streams(draw):
-    """Triples deep and shallow, some offsets out of range, counts small or up to
-    2**63 - 1, bits flipped or cut, read with a total or with bin totals near
-    theirs, through a narrow window."""
+    """Triples deep and shallow, some offsets out of range, in order or not,
+    counts small or up to 2**63 - 1, bits flipped or cut, read with a total or
+    with bin totals near theirs, through a narrow window."""
     counts = st.one_of(st.integers(1, 2**20), st.integers(1, MAX_VALUE))
     triples = draw(st.lists(st.tuples(st.integers(0, 64), st.integers(0, 2**62), counts), max_size=30))
     triples = [(k, a if draw(st.booleans()) else a % (1 << max(k - 1, 0)), c) for k, a, c in triples]
+    if draw(st.booleans()):  # in heap node order, as a writer puts each bin's rectangles
+        triples.sort(key=lambda t: (1 << t[0] >> 1) + t[1])
     bits = list(triple_bits(triples))
     for i in draw(st.lists(st.integers(0, len(bits) - 1), max_size=4)) if bits else ():
         bits[i] = "10"[int(bits[i])]
@@ -232,16 +271,17 @@ def test_n_outside_the_header_range(n):
         decode_triples(from_bitstring(triple_bits([(0, 0, 1)])), n)
 
 
-# tracemalloc peaks of the codeword-at-a-time reader, which kept a tuple per triple
-@pytest.mark.parametrize("triples, mib", [
-    ([(20, a, 1) for a in range(2**17)], 18.2),
-    ([(0, 0, 1)] * 2**18, 18.8),
+# tracemalloc peaks of the codeword-at-a-time reader, which kept a tuple per triple;
+# R(0, 0) repeats only in bins of its own, as a bin's rectangles increase
+@pytest.mark.parametrize("triples, bins, mib", [
+    ([(20, a, 1) for a in range(2**17)], None, 18.2),
+    ([(0, 0, 1)] * 2**18, np.ones(2**18, dtype=np.int64), 22.9),
 ], ids=["depth-20", "zeros"])
-def test_parse_memory(triples, mib):
+def test_parse_memory(triples, bins, mib):
     data = frame(SCHEME_UNIT, len(triples), triple_bits(triples))
     tracemalloc.start()
     try:
-        rows = read_container(data, SCHEME_UNIT, decode_triples)
+        rows = read_container(data, SCHEME_UNIT, lambda source, n: decode_triples(source, n if bins is None else bins))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

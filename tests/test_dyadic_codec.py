@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 from dsim import dyadic_codec, halfline_codec
 from dsim.bitcodes import (
     SCHEME_UNIT,
-    BitSink,
-    BitSource,
     FormatError,
-    gamma_encode,
     read_container,
     read_header,
     write_container,
@@ -38,7 +35,7 @@ from dsim.dyadic_codec import (
 from dsim.halfline_codec import restrict_to_bin
 from dsim.rng import RandomSource
 import oracles
-from oracles import from_bitstring, halfline_reference, locate, unit_reference
+from oracles import from_bitstring, halfline_reference, locate, packed, unit_reference
 
 TRI = triangular()
 # A steep law puts about 3% of its hypograph points beyond depth MAX_DEPTH, so
@@ -210,12 +207,8 @@ class TestLocate:
         assert_batch_matches_scalar(xs, ys, f)
 
 
-def single_triple(k: int, a: int, count: int) -> BitSink:
-    sink = BitSink()
-    gamma_encode(k + 1, sink)
-    gamma_encode(a + 1, sink)
-    gamma_encode(count, sink)
-    return sink
+def single_triple(k: int, a: int, count: int) -> np.ndarray:
+    return write_triples([(k, a, count)])
 
 
 def no_redraw(j):
@@ -223,8 +216,8 @@ def no_redraw(j):
 
 
 def grouped(ks, offs):
-    """collect_triples of points that all lie in a rectangle, as one run in bin 0."""
-    return collect_triples([(ks, offs, np.zeros(ks.size, dtype=bool))], no_redraw)
+    """collect_triples of points that all lie in a rectangle, as one run in bin 0, as lists."""
+    return collect_triples([(ks, offs, np.zeros(ks.size, dtype=bool))], no_redraw).tolist()
 
 
 class TestHeapNodes:
@@ -236,7 +229,7 @@ class TestHeapNodes:
         offs = gen.integers(0, np.left_shift(1, ks - 1))
         pairs = sorted(set(zip(ks.tolist(), offs.tolist())) | set(self.EDGES))
         ks, offs = (np.array(col[::-1], dtype=np.int64) for col in zip(*pairs))
-        assert grouped(ks, offs) == [(k, a, 1) for k, a in pairs]
+        assert grouped(ks, offs) == [[k, a, 1] for k, a in pairs]
 
     def test_grouping_matches_lexicographic_unique(self):
         gen = RandomSource.from_seed(81).gen
@@ -246,12 +239,12 @@ class TestHeapNodes:
         edges = np.array(self.EDGES * 3, dtype=np.int64)
         ks, offs = np.concatenate([ks, edges[:, 0]]), np.concatenate([offs, edges[:, 1]])
         uniq, counts = np.unique(np.stack([ks, offs], axis=1), axis=0, return_counts=True)
-        expected = [(int(k), int(a), int(c)) for (k, a), c in zip(uniq, counts)]
+        expected = [[int(k), int(a), int(c)] for (k, a), c in zip(uniq, counts)]
         assert grouped(ks, offs) == expected
         # counted in runs of a few hundred points, the counts merge to the same triples
         bad = np.zeros(ks.size, dtype=bool)
         assert collect_triples([(ks[i:i + 700], offs[i:i + 700], bad[i:i + 700])
-                                for i in range(0, ks.size, 700)], no_redraw) == expected
+                                for i in range(0, ks.size, 700)], no_redraw).tolist() == expected
 
     @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH - 1])
     def test_bins_cut_into_runs_match_a_call_per_bin(self, depth):
@@ -268,11 +261,11 @@ class TestHeapNodes:
             sel = which == j
             expected += grouped(ks[sel], offs[sel])
         assert max(k for k, _, _ in expected) == depth
-        assert collect_triples([(ks, offs, bad, which)], no_redraw) == expected
+        assert collect_triples([(ks, offs, bad, which)], no_redraw).tolist() == expected
         # runs that cut bins 0, 3 and 5 apart, and an empty last run, count each bin once
         cuts = [0, 30, 70, 100, 140, 155]
         assert collect_triples([(ks[i:j], offs[i:j], bad[i:j], which[i:j])
-                                for i, j in zip(cuts, cuts[1:] + [which.size])], no_redraw) == expected
+                                for i, j in zip(cuts, cuts[1:] + [which.size])], no_redraw).tolist() == expected
 
 
 class TestTripleCodec:
@@ -280,9 +273,7 @@ class TestTripleCodec:
         rng = RandomSource.from_seed(57)
         xs = TRI.cdf_inverse(rng.gen.random(400))
         ys = rng.gen.random(400) * TRI.pdf(xs)
-        sink = BitSink()
-        write_triples(collect_triples([locate_batch(xs, ys, TRI)], lambda _: (TRI, rng.child("retry"))), sink)
-        src = BitSource(sink.to_bytes(), sink.bit_length)
+        src = packed(write_triples(collect_triples([locate_batch(xs, ys, TRI)], lambda _: (TRI, rng.child("retry")))))
         triples = decode_triples(src, 400).tolist()
         assert src.bits_remaining == 0
         assert sum(c for _, _, c in triples) == 400
@@ -290,12 +281,7 @@ class TestTripleCodec:
         assert len(set((k, a) for k, a, _ in triples)) == len(triples)
 
     def test_single_triple_decodes_to_interval(self):
-        sink = BitSink()
-        gamma_encode(1 + 1, sink)
-        gamma_encode(0 + 1, sink)
-        gamma_encode(3, sink)
-        src = BitSource(sink.to_bytes(), sink.bit_length)
-        triples = decode_triples(src, 3)
+        triples = decode_triples(packed(single_triple(1, 0, 3)), 3)
         assert triples.tolist() == [[1, 0, 3]]
         pts = points_from_triples(triples, RandomSource.from_seed(1).gen)
         assert pts.size == 3
@@ -303,35 +289,24 @@ class TestTripleCodec:
 
     def test_points_stay_in_their_interval(self):
         gen = RandomSource.from_seed(2).gen
-        for k, a in [(0, 0), (1, 0), (4, 7), (10, 511), (20, 1)]:
+        # at (53, 2**52 - 1) the right end is 1 - 2**-53, where rounding lands without the clamp
+        for k, a in [(0, 0), (1, 0), (4, 7), (10, 511), (20, 1), (53, 2**52 - 1)]:
             pts = points_from_triples([(k, a, 1000)], gen)
             lo = a * 2.0 ** (1 - k)
             hi = (2 * a + 1) * 2.0**-k
             assert np.all((pts >= lo) & (pts < hi))
 
     def test_decode_overshoot(self):
-        sink = BitSink()
-        gamma_encode(1 + 1, sink)
-        gamma_encode(0 + 1, sink)
-        gamma_encode(5, sink)
         with pytest.raises(FormatError):
-            decode_triples(BitSource(sink.to_bytes(), sink.bit_length), 3)
+            decode_triples(packed(single_triple(1, 0, 5)), 3)
 
     def test_decode_offset_out_of_range(self):
-        sink = BitSink()
-        gamma_encode(2 + 1, sink)
-        gamma_encode(2 + 1, sink)  # depth 2 admits offsets 0 and 1 only
-        gamma_encode(1, sink)
-        with pytest.raises(FormatError):
-            decode_triples(BitSource(sink.to_bytes(), sink.bit_length), 1)
+        with pytest.raises(FormatError):  # depth 2 admits offsets 0 and 1 only
+            decode_triples(packed(single_triple(2, 2, 1)), 1)
 
     def test_decode_depth_limit(self):
         for k, ok in [(62, True), (63, False)]:
-            sink = BitSink()
-            gamma_encode(k + 1, sink)
-            gamma_encode(0 + 1, sink)
-            gamma_encode(1, sink)
-            src = BitSource(sink.to_bytes(), sink.bit_length)
+            src = packed(single_triple(k, 0, 1))
             if ok:
                 assert decode_triples(src, 1).tolist() == [[k, 0, 1]]
             else:
@@ -402,27 +377,18 @@ class TestScheme:
     def test_rejects_wrong_scheme_container(self):
         from dsim.bitcodes import SCHEME_INTEGER
 
-        data = write_container(SCHEME_INTEGER, 0, BitSink())
+        data = write_container(SCHEME_INTEGER, 0, [])
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
     def test_rejects_trailing_payload_bits(self):
-        sink = BitSink()
-        gamma_encode(1 + 1, sink)
-        gamma_encode(0 + 1, sink)
-        gamma_encode(2, sink)
-        sink.write_bit(1)
-        data = write_container(SCHEME_UNIT, 2, sink)
+        data = write_container(SCHEME_UNIT, 2, np.concatenate((single_triple(1, 0, 2), [(1, 1)])))
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
     def test_rejects_depth_no_encoder_writes(self):
         # 2**-5000 underflows, so without a depth limit this decodes to zeros
-        sink = BitSink()
-        gamma_encode(5000 + 1, sink)
-        gamma_encode(0 + 1, sink)
-        gamma_encode(3, sink)
-        data = write_container(SCHEME_UNIT, 3, sink)
+        data = write_container(SCHEME_UNIT, 3, single_triple(5000, 0, 3))
         assert len(data) == 26
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))

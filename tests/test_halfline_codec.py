@@ -9,9 +9,7 @@ from scipy.integrate import quad
 from dsim import dyadic_codec, halfline_codec
 from dsim.bitcodes import (
     SCHEME_HALFLINE,
-    BitSink,
     FormatError,
-    gamma_encode,
     read_container,
     read_header,
     write_container,
@@ -21,7 +19,7 @@ from dsim.dyadic_codec import collect_triples, locate_batch, write_triples
 from dsim.halfline_codec import desimulate, restrict_to_bin, simulate
 from dsim.integer_codec import decode_multiset, encode_multiset
 from dsim.rng import RandomSource
-from oracles import halfline_reference, runs
+from oracles import halfline_reference, read_bits, runs
 
 EXP1 = exponential(1.0)
 
@@ -30,7 +28,7 @@ def sent_bins(data):
     """The bin of every value in a half-line container, as its multiset says."""
     def bins_only(source, n):
         bins = decode_multiset(source, n)
-        source.read_bits(source.bits_remaining)  # the bins' triples follow the multiset
+        read_bits(source, source.bits_remaining)  # the bins' triples follow the multiset
         return bins
 
     return np.repeat(*read_container(data, SCHEME_HALFLINE, bins_only))
@@ -138,11 +136,8 @@ class TestScheme:
     def test_fraction_rounding_up_to_the_right_end_is_clamped(self):
         # R(54, 2**53 - 1) lies in [1 - 2**-53, 1 - 2**-54]; 1 plus any of it
         # rounds to 2.0, the right end of bin 2
-        sink = encode_multiset([2], [1])
-        gamma_encode(54 + 1, sink)
-        gamma_encode(2**53 - 1 + 1, sink)
-        gamma_encode(1, sink)
-        out = desimulate(write_container(SCHEME_HALFLINE, 1, sink), RandomSource.from_seed(1))
+        fields = np.concatenate((encode_multiset([2], [1]), write_triples([(54, 2**53 - 1, 1)])))
+        out = desimulate(write_container(SCHEME_HALFLINE, 1, fields), RandomSource.from_seed(1))
         assert out.tolist() == [np.nextafter(2.0, 0.0)]
 
     def test_deterministic(self):
@@ -169,28 +164,22 @@ class TestScheme:
             simulate(triangular(), 10, RandomSource.from_seed(1))
 
     def test_rejects_wrong_scheme_container(self):
-        from dsim.bitcodes import BitSink, FormatError, write_container, SCHEME_UNIT
+        from dsim.bitcodes import SCHEME_UNIT
 
-        data = write_container(SCHEME_UNIT, 0, BitSink())
+        data = write_container(SCHEME_UNIT, 0, [])
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
     def test_rejects_deep_triple_inside_a_bin(self):
-        sink = encode_multiset(*runs([2, 2, 2]))
-        gamma_encode(5000 + 1, sink)
-        gamma_encode(0 + 1, sink)
-        gamma_encode(3, sink)
-        data = write_container(SCHEME_HALFLINE, 3, sink)
+        fields = np.concatenate((encode_multiset(*runs([2, 2, 2])), write_triples([(5000, 0, 3)])))
+        data = write_container(SCHEME_HALFLINE, 3, fields)
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
     def test_rejects_offset_holding_no_double(self):
         # R(62, 2**61 - 1) would decode to 4.0, outside bin [3, 4)
-        sink = encode_multiset(*runs([4, 4, 4]))
-        gamma_encode(62 + 1, sink)
-        gamma_encode(2**61 - 1 + 1, sink)
-        gamma_encode(3, sink)
-        data = write_container(SCHEME_HALFLINE, 3, sink)
+        fields = np.concatenate((encode_multiset(*runs([4, 4, 4])), write_triples([(62, 2**61 - 1, 3)])))
+        data = write_container(SCHEME_HALFLINE, 3, fields)
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
@@ -198,12 +187,9 @@ class TestScheme:
     def test_rejects_bin_whose_left_end_is_no_double(self, i):
         # i - 1 lies between two doubles: the samples would round to another
         # bin (or, for the last bin, to 2**63, past every bin)
-        sink = encode_multiset([i], [2])
-        gamma_encode(0 + 1, sink)
-        gamma_encode(0 + 1, sink)
-        gamma_encode(2, sink)
+        fields = np.concatenate((encode_multiset([i], [2]), write_triples([(0, 0, 2)])))
         with pytest.raises(FormatError, match="left end"):
-            desimulate(write_container(SCHEME_HALFLINE, 2, sink), RandomSource.from_seed(1))
+            desimulate(write_container(SCHEME_HALFLINE, 2, fields), RandomSource.from_seed(1))
 
     def test_law_with_bins_past_2_54_round_trips(self):
         # past 2**54 both ends of a unit bin round to one double, so a cdf
@@ -257,7 +243,7 @@ def per_bin_reference(f, n, rng, normalised=True):
     normalised law."""
     values = f.sample(rng.child("values"), n)
     bins = np.floor(values).astype(np.int64) + 1
-    sink = encode_multiset(*runs(bins))
+    fields = [encode_multiset(*runs(bins))]
     heights = rng.child("heights").gen
     retry = rng.child("retry")
     order = np.argsort(bins, kind="stable")
@@ -265,9 +251,9 @@ def per_bin_reference(f, n, rng, normalised=True):
     for i, xs in zip(uniq.tolist(), np.split((values - (bins - 1))[order], starts[1:])):
         law, shift = (restrict_to_bin(f, i), 0.0) if normalised else (f, i - 1.0)
         ys = heights.random(xs.size) * law.pdf(xs + shift)
-        write_triples(collect_triples([locate_batch(xs, ys, law, shift=shift)],
-                                      lambda _: (restrict_to_bin(f, i), retry.child(i))), sink)
-    return write_container(SCHEME_HALFLINE, n, sink)
+        fields.append(write_triples(collect_triples([locate_batch(xs, ys, law, shift=shift)],
+                                                    lambda _: (restrict_to_bin(f, i), retry.child(i)))))
+    return write_container(SCHEME_HALFLINE, n, np.concatenate(fields))
 
 
 def restarting_power(alpha=1.0 / 16.0, bins=3):

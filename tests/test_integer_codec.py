@@ -15,8 +15,6 @@ from dsim.bitcodes import (
     HEADER_SIZE,
     MAX_VALUE,
     SCHEME_INTEGER,
-    BitSink,
-    BitSource,
     FormatError,
     TruncatedStreamError,
     read_container,
@@ -26,7 +24,7 @@ from dsim.bitcodes import (
 from dsim.distributions import geometric, zipf
 from dsim.integer_codec import decode_multiset, desimulate, encode_multiset, simulate
 from dsim.rng import RandomSource
-from oracles import from_bitstring, runs, to_bitstring
+from oracles import bit_fields, from_bitstring, packed, runs, to_bitstring
 
 
 def encode_to_bitstring(values) -> str:
@@ -70,8 +68,7 @@ class TestKnownCodewords:
 
     def test_point_mass_payload(self):
         # one hundred copies of 1: gamma(1) + "0" + gamma(99) = 1 + 1 + 13
-        sink = encode_multiset(*runs([1] * 100))
-        assert sink.bit_length == 15
+        assert encode_multiset(*runs([1] * 100))[:, 1].sum() == 15
 
 
 class TestTableOfCounts:
@@ -79,12 +76,11 @@ class TestTableOfCounts:
 
     def test_constructed_length(self):
         values = np.repeat(np.arange(1, 10), self.FREQS)
-        assert encode_multiset(*runs(values)).bit_length == 135
+        assert encode_multiset(*runs(values))[:, 1].sum() == 135
 
     def test_round_trip(self):
         values = np.repeat(np.arange(1, 10), self.FREQS)
-        sink = encode_multiset(*runs(values))
-        src = BitSource(sink.to_bytes(), sink.bit_length)
+        src = packed(encode_multiset(*runs(values)))
         assert np.array_equal(np.repeat(*decode_multiset(src, values.size)), np.sort(values))
         assert src.bits_remaining == 0
 
@@ -93,16 +89,14 @@ class TestRoundTrip:
     @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=300))
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_multisets(self, values):
-        sink = encode_multiset(*runs(values))
-        src = BitSource(sink.to_bytes(), sink.bit_length)
+        src = packed(encode_multiset(*runs(values)))
         assert np.repeat(*decode_multiset(src, len(values))).tolist() == sorted(values)
         assert src.bits_remaining == 0
 
     @given(st.lists(st.integers(MAX_VALUE - 3, MAX_VALUE), min_size=1, max_size=8))
     @settings(max_examples=50)
     def test_extreme_values(self, values):
-        sink = encode_multiset(*runs(values))
-        src = BitSource(sink.to_bytes(), sink.bit_length)
+        src = packed(encode_multiset(*runs(values)))
         assert np.repeat(*decode_multiset(src, len(values))).tolist() == sorted(values)
 
     @given(st.dictionaries(st.integers(1, 2**62), st.integers(1, 10**6), max_size=60))
@@ -123,7 +117,7 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_empty_multiset_has_the_empty_codeword(self):
-        assert encode_multiset([], []).bit_length == 0
+        assert encode_multiset([], []).shape == (0, 2)
         with pytest.raises(ValueError):
             encode_multiset([[1, 2]], [[1, 1]])
 
@@ -176,9 +170,7 @@ class TestValidation:
         # [5, 5, 5] as the encoder writes it, gamma(5) 0 gamma(2), and as two
         # zero runs, gamma(5) 0 gamma(1) 0 gamma(1): payload bytes 29 00 and 2a 80
         assert decode_bitstring("001010010", 3) == [5, 5, 5]
-        sink = BitSink()
-        sink.write_bits(0b001010101, 9)
-        data = write_container(SCHEME_INTEGER, 3, sink)
+        data = write_container(SCHEME_INTEGER, 3, [(0b001010101, 9)])
         assert data[HEADER_SIZE:] == bytes.fromhex("2a80")
         with pytest.raises(FormatError, match="zero run follows a zero run"):
             desimulate(data, RandomSource.from_seed(1))
@@ -195,14 +187,12 @@ class TestValidation:
 DECLARED_COUNT_PROBE = """
 import resource
 from dsim import halfline_codec, integer_codec
-from dsim.bitcodes import SCHEME_HALFLINE, SCHEME_INTEGER, BitSink, write_container
+from dsim.bitcodes import SCHEME_HALFLINE, SCHEME_INTEGER, write_container
 from dsim.rng import RandomSource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
-one_bit = BitSink()
-one_bit.write_bit(1)
 for codec, scheme in ((integer_codec, SCHEME_INTEGER), (halfline_codec, SCHEME_HALFLINE)):
     for n in (2**28, 2**40, 2**63 - 1):
-        for payload in (BitSink(), one_bit):
+        for payload in ([], [(1, 1)]):
             try:
                 codec.desimulate(write_container(scheme, n, payload), RandomSource.from_seed(1))
             except Exception as exc:
@@ -235,9 +225,8 @@ def mutated_int_containers(draw):
         bits[i] = "10"[int(bits[i])]
     if draw(st.booleans()):
         bits = bits[:draw(st.integers(0, len(bits)))]
-    sink = BitSink()
-    sink.write_bits(int("".join(bits) or "0", 2), len(bits))
-    return write_container(SCHEME_INTEGER, draw(st.one_of(st.just(n), st.integers(max(n - 3, 0), n + 3))), sink)
+    fields = bit_fields("".join(bits))
+    return write_container(SCHEME_INTEGER, draw(st.one_of(st.just(n), st.integers(max(n - 3, 0), n + 3))), fields)
 
 
 @given(mutated_int_containers())
@@ -297,10 +286,7 @@ class TestScheme:
         # three distinct values admit 6 orderings; check uniformity over seeds
         from dsim.bounds_analysis import chi_square
 
-        sink = encode_multiset(*runs([1, 2, 3]))
-        from dsim.bitcodes import SCHEME_INTEGER, write_container
-
-        data = write_container(SCHEME_INTEGER, 3, sink)
+        data = write_container(SCHEME_INTEGER, 3, encode_multiset(*runs([1, 2, 3])))
         root = RandomSource.from_seed(1234)
         perms = {}
         counts = np.zeros(6, dtype=np.int64)
@@ -313,17 +299,14 @@ class TestScheme:
         assert ok, f"orderings not uniform: chi2={stat:.1f}"
 
     def test_rejects_wrong_scheme_container(self):
-        from dsim.bitcodes import SCHEME_UNIT, write_container
+        from dsim.bitcodes import SCHEME_UNIT
 
-        data = write_container(SCHEME_UNIT, 0, BitSink())
+        data = write_container(SCHEME_UNIT, 0, [])
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))
 
     def test_rejects_trailing_payload_bits(self):
-        sink = encode_multiset(*runs([1, 2]))
-        sink.write_bit(1)  # stray bit after the complete multiset
-        from dsim.bitcodes import SCHEME_INTEGER, write_container
-
-        data = write_container(SCHEME_INTEGER, 2, sink)
+        fields = np.concatenate((encode_multiset(*runs([1, 2])), [(1, 1)]))  # a stray bit after the multiset
+        data = write_container(SCHEME_INTEGER, 2, fields)
         with pytest.raises(FormatError):
             desimulate(data, RandomSource.from_seed(1))

@@ -23,16 +23,15 @@ from dsim.bitcodes import (
     SCHEME_HALFLINE,
     SCHEME_INTEGER,
     SCHEME_UNIT,
-    BitSink,
     FormatError,
     TruncatedStreamError,
-    gamma_encode,
     read_container,
     read_header,
     write_container,
 )
 from dsim.distributions import exponential, geometric, pareto_flat, triangular, zipf
 from dsim.rng import RandomSource
+from oracles import bit_fields, read_bits
 
 # sha256 of the container and of the decoded samples' bytes for each built-in
 # scheme/law pair at n = 1000.  A container byte must never change, so these
@@ -190,27 +189,24 @@ def test_codecs_reject_handles_of_the_wrong_kind(codec, dist):
     (halfline_codec, SCHEME_HALFLINE, exponential(1.0)),
 ], ids=["int", "unit", "halfline"])
 def test_empty_stream_carries_no_payload(codec, scheme, dist):
-    sink = BitSink()
-    assert simulate_any(dist, 0, RandomSource.from_seed(1)) == write_container(scheme, 0, sink)
-    out = codec.desimulate(write_container(scheme, 0, sink), RandomSource.from_seed(1))
+    assert simulate_any(dist, 0, RandomSource.from_seed(1)) == write_container(scheme, 0, [])
+    out = codec.desimulate(write_container(scheme, 0, []), RandomSource.from_seed(1))
     assert out.shape == (0,)
     assert out.dtype == (np.int64 if codec is integer_codec else np.float64)
-    sink.write_bits(0b1011, 4)  # leftover bits are rejected at n = 0 as at n >= 1
+    # leftover bits are rejected at n = 0 as at n >= 1
     with pytest.raises(FormatError, match="unread payload bits"):
-        codec.desimulate(write_container(scheme, 0, sink), RandomSource.from_seed(1))
+        codec.desimulate(write_container(scheme, 0, [(0b1011, 4)]), RandomSource.from_seed(1))
 
 
-def payload_of_two_to_the_63_draws(scheme: int) -> BitSink:
+def payload_of_two_to_the_63_draws(scheme: int) -> np.ndarray:
     """Draws of the value (or bin) 5 only, then, for a dyadic scheme, two
     rectangles of 2**62 draws each."""
-    sink = BitSink()
+    fields = [np.zeros((0, 2), dtype=np.int64)]
     if scheme != SCHEME_UNIT:
-        gamma_encode(5, sink)
-        sink.write_bit(0)
-        gamma_encode(2**63 - 1, sink)
+        fields.append(np.array([(5, 5), (2**63 - 1, 126)]))  # gamma(5), "0" + gamma(2**63 - 1)
     if scheme != SCHEME_INTEGER:
-        dyadic_codec.write_triples([(0, 0, 2**62), (1, 0, 2**62)], sink)
-    return sink
+        fields.append(dyadic_codec.write_triples([(0, 0, 2**62), (1, 0, 2**62)]))
+    return np.concatenate(fields)
 
 
 @pytest.mark.parametrize("codec, scheme", [
@@ -245,7 +241,7 @@ for _dist, _n in [(geometric(0.7), 300), (zipf(3.0), 200), (triangular(), 300),
     _header = read_header(_data)
     _bits = _header.payload_bits
     VALID_PAYLOADS.append((_header.scheme, _n, read_container(
-        _data, _header.scheme, lambda source, n: format(source.read_bits(_bits), f"0{_bits}b"))))
+        _data, _header.scheme, lambda source, n: format(read_bits(source, _bits), f"0{_bits}b"))))
 
 
 @st.composite
@@ -265,9 +261,7 @@ def framed_payloads(draw):
             bits = bits[:draw(st.integers(0, len(bits)))]
         bits = "".join(bits)
         n += draw(st.sampled_from([0, 0, -1, 1]))
-    sink = BitSink()
-    sink.write_bits(int(bits or "0", 2), len(bits))
-    return scheme, n, write_container(scheme, n, sink)
+    return scheme, n, write_container(scheme, n, bit_fields(bits))
 
 
 @given(framed_payloads())
