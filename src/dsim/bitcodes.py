@@ -11,13 +11,13 @@ field that may be 0 is written as gamma of the field plus 1, and a flag bit
 is the field (0, 1) or (1, 1).  write_container packs every field of a
 container in one numpy pass.
 
-A payload is read by one tokeniser: one compiled regex splits the bits after
-a BitSource's position into codewords, z zeros, a one and z more bits for
-z <= 62, and at most one error token, the rest of the bits, where none of
-those starts.  read_gammas reads bare codewords, read_flagged_gammas
-codewords each followed by a flag bit; both run one window loop, which hands
-its caller each window's values as an array, and the caller says where to
-stop.
+A BitSource is a position in a payload's bytes, read by one tokeniser: one
+compiled regex splits the bits after it into codewords, z zeros, a one and z
+more bits for z <= 62, and at most one error token, the rest of the bits,
+where none of those starts.  read_gammas reads bare codewords,
+read_flagged_gammas codewords each followed by a flag bit; both run one
+window loop, which formats only its window as '0'/'1' text, hands its caller
+each window's values as an array, and the caller says where to stop.
 
 read_header alone bounds n, by MAX_VALUE, so every decoder counts in int64.
 read_container is the one framed read of a payload: it accepts a payload
@@ -64,23 +64,18 @@ class TruncatedStreamError(EOFError):
 
 
 class BitSource:
-    """A window of a byte buffer's bits, held as a '0'/'1' string for the
-    tokeniser; padding bits beyond ``bit_length`` are never served."""
+    """A bit position in a byte buffer, read up to bit_offset + bit_length; it holds no text."""
 
-    __slots__ = ("_bits", "_pos")
+    __slots__ = ("_data", "_pos", "_end")
 
     def __init__(self, data: bytes, bit_length: int, bit_offset: int = 0):
         if bit_offset < 0 or bit_length < 0 or bit_offset + bit_length > 8 * len(data):
             raise ValueError("bit window exceeds the buffer")
-        chunk = data[bit_offset >> 3:(bit_offset + bit_length + 7) >> 3]
-        start = bit_offset & 7
-        bits = format(int.from_bytes(chunk, "big"), f"0{8 * len(chunk)}b")
-        self._bits = bits[start:start + bit_length]
-        self._pos = 0
+        self._data, self._pos, self._end = data, bit_offset, bit_offset + bit_length
 
     @property
     def bits_remaining(self) -> int:
-        return len(self._bits) - self._pos
+        return self._end - self._pos
 
 
 _POWERS = np.left_shift(1, np.arange(63, dtype=np.int64))  # 2**0 to 2**62
@@ -170,18 +165,20 @@ def _read_tokens(source: BitSource, consume, flagged: bool) -> None:
     GAMMA_WINDOW bits.  A codeword is the odd-length part of a token; in the
     flagged grammar an even-length token also holds the flag bit after its
     codeword, which every token but the last in the bits has.  A token cut
-    by a window's end goes to the next window.
+    by a window's end goes to the next window.  The window's whole bytes, at
+    most GAMMA_WINDOW + 14 bits, are the only text; positions are absolute.
     """
     regex = _gamma_regex(".?" if flagged else "")
-    bits, pos, window = source._bits, source._pos, min(1 << 8 if flagged else GAMMA_WINDOW, GAMMA_WINDOW)
+    pos, window = source._pos, min(1 << 8 if flagged else GAMMA_WINDOW, GAMMA_WINDOW)
     while True:
-        end = min(len(bits), pos + window)
+        end = min(source._end, pos + window)
         window = min(2 * window, GAMMA_WINDOW)
-        tokens = regex.findall(bits, pos, end)
+        chunk = source._data[pos >> 3:(end + 7) >> 3]
+        tokens = regex.findall(format(int.from_bytes(chunk, "big"), f"0{8 * len(chunk)}b"), pos & 7, end - (pos & ~7))
         last = tokens[-1] if tokens else ""
         code = last if len(last) % 2 else last[:-1]
         whole = (len(code) <= 125 and 2 * code.find("1") + 1 == len(code)
-                 and (code != last or not flagged or end == len(bits)))
+                 and (code != last or not flagged or end == source._end))
         # the error token, if any, is the last
         tail = tokens.pop() if tokens and not whole else ""
         stop = end - len(tail)
@@ -199,7 +196,7 @@ def _read_tokens(source: BitSource, consume, flagged: bool) -> None:
         source._pos = pos = stop
         if tail.startswith("0" * 63):
             raise FormatError("gamma prefix longer than any admissible value")
-        if end == len(bits):
+        if end == source._end:
             raise TruncatedStreamError("bit stream exhausted")
 
 

@@ -143,12 +143,14 @@ def exact_expected_length_unit(f: MonotonePdf, n: int, k_max: int = 8) -> float:
     cuts = (1 << np.arange(int(n).bit_length()))[:, None] - 1  # P(M >= 2**j) = sf(2**j - 1)
     total = 0.0
     for k in range(k_max + 1):
-        offsets = np.arange(1 if k == 0 else 2 ** (k - 1))
-        # rounding can push an area a hair past 1, where the binomial is undefined
-        areas = np.minimum(rect_area(k, offsets, f), 1.0)
-        heads = gamma_length(k + 1) + gamma_length(offsets + 1) + 1
-        tail = _binom.sf(cuts, n, areas)
-        total += float(heads @ tail[0] + 2.0 * tail[1:].sum())
+        size = 1 << max(k - 1, 0)  # offsets at depth k, 2**16 at a time, so memory stays flat in k_max
+        for lo in range(0, size, 1 << 16):
+            offsets = np.arange(lo, min(size, lo + (1 << 16)))
+            # rounding can push an area a hair past 1, where the binomial is undefined
+            areas = np.minimum(rect_area(k, offsets, f), 1.0)
+            heads = gamma_length(k + 1) + gamma_length(offsets + 1) + 1
+            tail = _binom.sf(cuts, n, areas)
+            total += float(heads @ tail[0] + 2.0 * tail[1:].sum())
     return total
 
 

@@ -2,11 +2,12 @@
 dyadic_codec._bad_offsets; the scalar rectangle locator, the oracle for
 dyadic_codec.locate_batch; the scalar bit writer and gamma writer, the
 oracles for the field packer of bitcodes.write_container; the scalar bit and
-gamma readers, and on them the codeword-at-a-time multiset and triple
-readers, the oracles for integer_codec.decode_multiset and
-dyadic_codec.decode_triples; '0'/'1' string views of fields and payloads,
-the runs of a multiset, and one-shot reference encoders of the unit and
-half-line schemes."""
+gamma readers, which cut bits from a BitSource's bytes with integer shifts
+and share no text with the library's tokeniser, and on them the
+codeword-at-a-time multiset and triple readers, the oracles for
+integer_codec.decode_multiset and dyadic_codec.decode_triples; '0'/'1'
+string views of fields and payloads, the runs of a multiset, and one-shot
+reference encoders of the unit and half-line schemes."""
 
 import numpy as np
 
@@ -124,27 +125,34 @@ def write_fields(fields) -> BitSink:
     return sink
 
 
+def _peek(source: BitSource, width: int) -> int:
+    """The width bits after source's position as an int, cut from its bytes by shifts."""
+    pos, stop = source._pos, source._pos + width
+    return int.from_bytes(source._data[pos >> 3:(stop + 7) >> 3], "big") >> (-stop & 7) & ((1 << width) - 1)
+
+
 def read_bits(source: BitSource, width: int) -> int:
     """The next width bits of source as an int, or TruncatedStreamError."""
-    pos = source._pos
     if width < 0:
         raise ValueError("width must be >= 0")
-    if pos + width > len(source._bits):
+    if width > source.bits_remaining:
         raise TruncatedStreamError("bit stream exhausted")
-    source._pos = pos + width
-    return int(source._bits[pos:pos + width] or "0", 2)
+    value = _peek(source, width)
+    source._pos += width
+    return value
 
 
 def gamma_decode(source: BitSource) -> int:
-    bits, pos = source._bits, source._pos
     # the zero run: no admissible codeword starts with more than 62 zeros
-    one = bits.find("1", pos, pos + 63)
-    if one < 0:
-        if len(bits) - pos < 63:
+    width = min(63, source.bits_remaining)
+    head = _peek(source, width)
+    if not head:
+        if width < 63:
             raise TruncatedStreamError("bit stream exhausted")
         raise FormatError("gamma prefix longer than any admissible value")
-    source._pos = one
-    return read_bits(source, one - pos + 1)  # the leading 1 and one bit per zero
+    zeros = width - head.bit_length()
+    source._pos += zeros
+    return read_bits(source, zeros + 1)  # the leading 1 and one bit per zero
 
 
 def decode_multiset(source: BitSource, n: int) -> tuple[np.ndarray, np.ndarray]:

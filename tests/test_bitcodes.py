@@ -1,10 +1,13 @@
 """Field packing, the gamma tokeniser, and container framing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsim
 from dsim.bitcodes import (
     HEADER_SIZE,
     MAX_VALUE,
@@ -22,6 +25,7 @@ from dsim.bitcodes import (
     read_header,
     write_container,
 )
+from dsim.rng import RandomSource
 from oracles import BitSink, from_bitstring, gamma_decode, gamma_encode, packed, read_bits, write_fields
 
 
@@ -292,6 +296,22 @@ class TestContainer:
             read_container(data, SCHEME_UNIT, lambda source, n: read_bits(source, 2))
         with pytest.raises(FormatError, match="5 unread payload bits"):
             read_container(data, SCHEME_UNIT, lambda source, n: None)
+
+    # 6 MiB of set bits where an n = 1 payload ends after a few; a payload
+    # held as a '0'/'1' string peaked at 108 MiB before the first codeword.
+    # An int read tokenises a few short windows, a half-line read one
+    # GAMMA_WINDOW of triples.
+    @pytest.mark.parametrize("scheme, mib", [(SCHEME_INTEGER, 1), (SCHEME_HALFLINE, 16)], ids=["int", "halfline"])
+    def test_junk_payload_memory(self, scheme, mib):
+        data = write_container(scheme, 1, np.tile([MAX_VALUE, 63], (6 * 2**23 // 63 + 1, 1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="unread payload bits"):
+                dsim.desimulate_any(data, RandomSource.from_seed(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
     def test_bad_magic(self):
         data = write_container(SCHEME_INTEGER, 1, [])

@@ -1,6 +1,7 @@
 """Length bounds, the enumerator, majorization, and the statistics helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ class TestEnumerator:
         # triangular at n = 1000, to the last bit of the float summed from
         # rect_area's doubles and scipy's binomial survival function
         assert exact_expected_length_unit(triangular(), 1000, k_max=k_max) == bits
+
+    def test_memory_stays_flat_past_one_block(self):
+        # depth 17 has 2**16 offsets, one block; depth 18 twice as many, which
+        # all at once doubled the peak
+        peaks = []
+        for k_max in (17, 18):
+            tracemalloc.start()
+            try:
+                exact_expected_length_unit(triangular(), 1000, k_max=k_max)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_nondecreasing_in_n(self):
         f = triangular()

@@ -272,13 +272,16 @@ def test_n_outside_the_header_range(n):
 
 
 # tracemalloc peaks of the codeword-at-a-time reader, which kept a tuple per triple;
-# R(0, 0) repeats only in bins of its own, as a bin's rectangles increase
+# R(0, 0) repeats only in bins of its own, as a bin's rectangles increase; wide
+# rows (depth 40, counts past 2**40) in three times their rows' bytes, where a
+# payload held as one '0'/'1' string took 13 times
 @pytest.mark.parametrize("triples, bins, mib", [
     ([(20, a, 1) for a in range(2**17)], None, 18.2),
     ([(0, 0, 1)] * 2**18, np.ones(2**18, dtype=np.int64), 22.9),
-], ids=["depth-20", "zeros"])
+    ([(40, 997 * a, 2**40 + a) for a in range(2**16)], None, 3 * 24 * 2**16 / 2**20),
+], ids=["depth-20", "zeros", "wide"])
 def test_parse_memory(triples, bins, mib):
-    data = frame(SCHEME_UNIT, len(triples), triple_bits(triples))
+    data = frame(SCHEME_UNIT, sum(count for *_, count in triples), triple_bits(triples))
     tracemalloc.start()
     try:
         rows = read_container(data, SCHEME_UNIT, lambda source, n: decode_triples(source, n if bins is None else bins))
