@@ -21,7 +21,8 @@ each window's values as an array, and the caller says where to stop.
 
 read_header alone bounds n, by MAX_VALUE, so every decoder counts in int64.
 read_container is the one framed read of a payload: it accepts a payload
-only when the header names the scheme a codec decodes and the codec's
+only when the header names the scheme a codec decodes, the payload is no
+longer than n samples of that scheme can use, and the codec's
 parse(source, n) reads it to its last bit.
 """
 
@@ -36,8 +37,8 @@ from itertools import repeat
 import numpy as np
 
 __all__ = [
-    "MAX_VALUE", "SCHEME_INTEGER", "SCHEME_UNIT", "SCHEME_HALFLINE", "SCHEME_NAMES", "HEADER_SIZE",
-    "FormatError", "TruncatedStreamError", "BitSource", "ContainerHeader", "bit_length", "gamma_length",
+    "MAX_VALUE", "SCHEME_INTEGER", "SCHEME_UNIT", "SCHEME_HALFLINE", "SCHEME_NAMES", "MAX_BITS_PER_SAMPLE",
+    "HEADER_SIZE", "FormatError", "TruncatedStreamError", "BitSource", "ContainerHeader", "bit_length", "gamma_length",
     "GAMMA_WINDOW", "read_gammas", "read_flagged_gammas", "write_container", "read_header",
     "read_container"
 ]
@@ -53,6 +54,15 @@ SCHEME_UNIT = 0x02
 SCHEME_HALFLINE = 0x03
 
 SCHEME_NAMES = {SCHEME_INTEGER: "int", SCHEME_UNIT: "unit", SCHEME_HALFLINE: "halfline"}
+
+# The most payload bits a sample can use, so read_container rejects a longer
+# payload before it reads a bit.  No gamma codeword is longer than 125 bits,
+# as every value is below 2**63.  An int payload's runs each hold a sample or
+# more, in at most a flag bit and gamma of the difference, then "0" and gamma
+# of the count less 1: 2 * 126 = 252 bits.  A unit payload's (k, a, count)
+# rows each hold a sample or more, in three codewords: 3 * 125 = 375.  A
+# halfline payload is an int payload of the bins, then unit rows: 627.
+MAX_BITS_PER_SAMPLE = {SCHEME_INTEGER: 252, SCHEME_UNIT: 375, SCHEME_HALFLINE: 627}
 
 
 class FormatError(ValueError):
@@ -267,12 +277,15 @@ def read_header(data: bytes) -> ContainerHeader:
 def read_container(data: bytes, scheme: int, parse):
     """parse(source, n) over the whole payload of a container of the given scheme.
 
-    FormatError is raised if the header names another scheme or if parse
-    leaves payload bits unread.
+    FormatError is raised if the header names another scheme, if the payload
+    is longer than n samples of it can use, or if parse leaves payload bits
+    unread.
     """
     header = read_header(data)
     if header.scheme != scheme:
         raise FormatError(f"expected a {SCHEME_NAMES[scheme]} container, got {SCHEME_NAMES[header.scheme]}")
+    if header.payload_bits > MAX_BITS_PER_SAMPLE[scheme] * header.n:
+        raise FormatError(f"{header.payload_bits} payload bits are more than n = {header.n} samples can use")
     source = BitSource(data, header.payload_bits, bit_offset=8 * HEADER_SIZE)
     out = parse(source, header.n)
     if source.bits_remaining:

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 import dsim
 from dsim.bitcodes import (
     HEADER_SIZE,
+    MAX_BITS_PER_SAMPLE,
     MAX_VALUE,
     SCHEME_HALFLINE,
     SCHEME_INTEGER,
+    SCHEME_NAMES,
     SCHEME_UNIT,
     BitSource,
     ContainerHeader,
@@ -261,7 +263,8 @@ class TestContainer:
         assert read_header(data) == ContainerHeader(SCHEME_UNIT, 3, 6)
         assert read_payload(data, SCHEME_UNIT) == (3, 6, 0b101101)
 
-    @given(st.integers(0, MAX_VALUE), st.binary(max_size=64), st.integers(0, 7))
+    # n >= 1, as no n = 0 container holds a payload bit
+    @given(st.integers(1, MAX_VALUE), st.binary(max_size=64), st.integers(0, 7))
     @settings(max_examples=100)
     def test_round_trip_random_payloads(self, n, body, spare):
         fields = [(byte, 8) for byte in body] + [((1 << spare) - 1, spare)]
@@ -297,21 +300,30 @@ class TestContainer:
         with pytest.raises(FormatError, match="5 unread payload bits"):
             read_container(data, SCHEME_UNIT, lambda source, n: None)
 
-    # 6 MiB of set bits where an n = 1 payload ends after a few; a payload
-    # held as a '0'/'1' string peaked at 108 MiB before the first codeword.
-    # An int read tokenises a few short windows, a half-line read one
-    # GAMMA_WINDOW of triples.
-    @pytest.mark.parametrize("scheme, mib", [(SCHEME_INTEGER, 1), (SCHEME_HALFLINE, 16)], ids=["int", "halfline"])
-    def test_junk_payload_memory(self, scheme, mib):
+    @pytest.mark.parametrize("scheme", list(MAX_BITS_PER_SAMPLE), ids=SCHEME_NAMES.get)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_payload_as_long_as_n_samples_can_use(self, scheme, n):
+        bits = MAX_BITS_PER_SAMPLE[scheme] * n
+        data = write_container(scheme, n, [(0, 1)] * bits)
+        assert read_container(data, scheme, lambda source, got: read_bits(source, source.bits_remaining)) == 0
+        data = write_container(scheme, n, [(0, 1)] * (bits + 1))
+        with pytest.raises(FormatError, match=f"{bits + 1} payload bits are more than n = {n} samples can use"):
+            read_container(data, scheme, lambda source, got: pytest.fail("parsed the payload"))
+
+    # 6 MiB of set bits where an n = 1 payload ends after a few: its length
+    # alone rejects it, before a window of it is tokenised (a GAMMA_WINDOW
+    # of half-line triples peaks at 8.25 MiB)
+    @pytest.mark.parametrize("scheme", list(MAX_BITS_PER_SAMPLE), ids=SCHEME_NAMES.get)
+    def test_junk_payload_memory(self, scheme):
         data = write_container(scheme, 1, np.tile([MAX_VALUE, 63], (6 * 2**23 // 63 + 1, 1)))
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="unread payload bits"):
+            with pytest.raises(FormatError, match="more than n = 1 samples can use"):
                 dsim.desimulate_any(data, RandomSource.from_seed(2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < mib * 2**20
+        assert peak < 2**20
 
     def test_bad_magic(self):
         data = write_container(SCHEME_INTEGER, 1, [])

@@ -1,5 +1,6 @@
 """Dyadic rectangle decomposition, locate, and the unit-interval scheme."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from dsim.bounds_analysis import ks_two_sample, verify_trial
 from dsim.distributions import MonotonePdf, exponential, pareto_flat, triangular
 from dsim.dyadic_codec import (
     MAX_DEPTH,
+    W,
     DepthExceededError,
     _bad_offsets,
     collect_triples,
@@ -622,10 +624,42 @@ GRID_LAWS = [TRI, unguarded_exponential(1024.0), unguarded_exponential(6.0),
 GRID_EDGES = np.array([0.0, 0.5, 1.0 - 2.0**-53, 1.0, -2.0**-60, -0.3, 1.0 + 2.0**-52, 1.7, 3.0])
 
 
-def assert_batch_matches_one_point_calls(f, gen, edges: int, size: int = 500) -> set[int]:
+def replayed_bands(xs, ys, ks, bad, shift=None, which=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The depths and f.pdf input of each band a locate_batch call ran,
+    replayed from its output (ks, bad).  A point is still unplaced at depth k
+    if the call placed it at k or deeper, or flagged it although it lies in
+    [0, 1) x [0, inf).  Once at most W / 2 are, the next W // r depths, or
+    those up to MAX_DEPTH, go at once: a row of each point's cell middles,
+    shifted into its bin."""
+    inside = (xs >= 0.0) & (xs < 1.0) & (ys >= 0.0)
+    last = np.where(bad, np.where(inside, MAX_DEPTH + 1, -1), ks)
+    bands, k = [], 1
+    while k <= MAX_DEPTH and (idx := np.flatnonzero(last >= k)).size:
+        if 2 * idx.size > W:
+            k += 1
+            continue
+        depths = np.arange(k, min(k + W // idx.size, MAX_DEPTH + 1))
+        # floor(x * 2**(d - 1)) is the offset a, so 2a + 1 rounds as an int64 would
+        x = np.ldexp(2.0 * np.floor(np.ldexp(xs[idx, None], depths - 1)) + 1.0, -depths)
+        bands.append((depths, (x if shift is None else x + shift[which[idx], None]).ravel()))
+        k = int(depths[-1]) + 1
+    return bands
+
+
+def assert_ran(bands, calls):
+    """Each replayed band is an f.pdf call, in the order they ran."""
+    at = 0
+    for _, band in bands:
+        ran = [i for i in range(at, len(calls)) if np.array_equal(calls[i], band)]
+        assert ran, f"no f.pdf call after the {at}th is the band of {band.size} values"
+        at = ran[0] + 1
+
+
+def assert_batch_matches_one_point_calls(f, gen, edges: int, size: int = 500) -> tuple[set[int], int]:
     """Locate size points of f's hypograph, and edges copies of GRID_EDGES,
     once together and once a point at a time, and compare.  Returns the
-    depths that read their thresholds from a grid."""
+    depths that read their thresholds from a grid, and the number of bands,
+    each checked to be an f.pdf call of the batch."""
     xs = f.cdf_inverse(gen.random(size))
     # heights within 2**-9 to 2**-12 of the density sit at depth 9 or more
     # where f is smooth, so depths 1 to 7 keep more left-half points than
@@ -650,6 +684,8 @@ def assert_batch_matches_one_point_calls(f, gen, edges: int, size: int = 500) ->
     for i in range(xs.size):
         one = locate_batch(xs[i:i + 1], ys[i:i + 1], f)
         assert tuple(int(v[i]) for v in batch) == tuple(int(v[0]) for v in one), (xs[i], ys[i])
+    bands = replayed_bands(xs, ys, batch[0], batch[2])
+    assert_ran(bands, calls)
     # the depth-k grid is the middles (2j + 1) * 2**-k of the 2**(k-1) cells;
     # its size alone would not tell it from a direct call on as many points
     grids = set()
@@ -657,19 +693,22 @@ def assert_batch_matches_one_point_calls(f, gen, edges: int, size: int = 500) ->
         k = np.size(x).bit_length()
         if k and np.array_equal(x, (2 * np.arange(2 ** (k - 1)) + 1) * 2.0**-k):
             grids.add(k)
-    return grids
+    return grids, len(bands)
 
 
 class TestThresholdGrid:
     """A batch reads the thresholds of its shallow depths from a grid of f.pdf
-    values; a one-point batch evaluates f.pdf at the middle of its own cell."""
+    values, and its last few points' from a band of depths; a one-point batch
+    evaluates f.pdf at the middles of its own cells, one band from depth 1."""
 
     @pytest.mark.parametrize("f", GRID_LAWS, ids=lambda f: f.name)
     @given(seed=st.integers(0, 2**32), edges=st.integers(1, 4))
     @settings(max_examples=3, deadline=None)
     def test_batch_matches_one_point_calls(self, f, seed, edges):
-        tabulated = assert_batch_matches_one_point_calls(f, RandomSource.from_seed(seed).gen, edges)
-        assert set(range(1, 8)) <= tabulated
+        # 2000 draws keep more than W / 2 = 1024 points unplaced through
+        # depth 7, so depths 1 to 7 go one at a time, and read the grid
+        tabulated, bands = assert_batch_matches_one_point_calls(f, RandomSource.from_seed(seed).gen, edges, 2000)
+        assert set(range(1, 8)) <= tabulated and bands
 
     @given(f=ANY_STEP_LAW, seed=st.integers(0, 2**32), edges=st.integers(1, 4))
     @settings(max_examples=3, deadline=None)
@@ -690,10 +729,11 @@ def shifted_to_unit(f, s: float) -> MonotonePdf:
                        f.cdf, f.cdf_inverse, f0=f.pdf(s))
 
 
-def assert_bins_match_their_own_calls(f, gen, size: int) -> set[int]:
+def assert_bins_match_their_own_calls(f, gen, size: int) -> tuple[set[int], int]:
     """Locate size draws of half-line law f, each against f shifted into its
     bin, in one call and again per bin and per point, and compare.  Returns
-    the depths whose thresholds the one call read from a grid."""
+    the depths whose thresholds the one call read from a grid, and the number
+    of its bands, each checked to be an f.pdf call."""
     values = f.cdf_inverse(gen.random(size))
     shift, which = np.unique(np.floor(values), return_inverse=True)
     which = which.astype(np.int32)  # as the half-line encoder passes it
@@ -723,30 +763,36 @@ def assert_bins_match_their_own_calls(f, gen, size: int) -> set[int]:
     for i in range(xs.size):
         one = locate_batch(xs[i:i + 1], ys[i:i + 1], f, shift=shift, which=which[i:i + 1])
         assert tuple(int(v[i]) for v in batch) == tuple(int(v[0]) for v in one), (xs[i], ys[i], shift[which[i]])
+    bands = replayed_bands(xs, ys, batch[0], batch[2], shift, which)
+    assert_ran(bands, calls)
     # the depth-k grid is every bin's 2**(k-1) cell middles, bin after bin
     grids = set()
     for x in calls:
         k = (np.size(x) // shift.size).bit_length()
         if k and np.array_equal(x, (shift[:, None] + (2 * np.arange(2 ** (k - 1)) + 1) * 2.0**-k).ravel()):
             grids.add(k)
-    return grids
+    return grids, len(bands)
 
 
 class TestBinShifts:
     """One call locates points under different bins' shifts of f: the same
     decisions as a call per bin against a unit handle and a call per point,
-    with the shallow depths read from one grid over every bin."""
+    with the shallow depths read from one grid over every bin and the last
+    few points' from a band of depths."""
 
+    # each size keeps more than W / 2 = 1024 points unplaced through the
+    # deepest asserted depth, so those go one at a time (about 40%, 80% and
+    # 20% of the draws get that far)
     @pytest.mark.parametrize("f, size, depths", [
-        (pareto_flat(2.0, 2.0), 2000, 3),
-        (exponential(1.0), 500, 4),
-        (STEP_CASES[2], 500, 3),
+        (pareto_flat(2.0, 2.0), 4000, 3),
+        (exponential(1.0), 2000, 4),
+        (STEP_CASES[2], 6000, 3),
     ], ids=lambda v: getattr(v, "name", None))
     @given(seed=st.integers(0, 2**32))
     @settings(max_examples=3, deadline=None)
     def test_one_call_matches_per_bin_and_one_point_calls(self, f, size, depths, seed):
-        tabulated = assert_bins_match_their_own_calls(f, RandomSource.from_seed(seed).gen, size)
-        assert set(range(1, depths + 1)) <= tabulated, sorted(tabulated)
+        tabulated, bands = assert_bins_match_their_own_calls(f, RandomSource.from_seed(seed).gen, size)
+        assert set(range(1, depths + 1)) <= tabulated and bands, sorted(tabulated)
 
 
 # Laws for the stacked thresholds: the second puts its draws in a tail bin, and
@@ -814,6 +860,67 @@ class TestStackedThresholds:
                     points += edge_heights(f, x, k)
         assert len(points) > 20
         assert_oracle_batched_and_alone(f, points)
+
+
+def memoized(f) -> MonotonePdf:
+    """f on [0, 1] with its pdf cached per double, for the oracle's scalar calls."""
+    pdf = functools.cache(f.pdf)
+    return MonotonePdf(f.name, "unit", lambda x: pdf(float(x)), f.cdf, f.cdf_inverse, f0=f.f0)
+
+
+# (law, e, deep): each law's heights lie within 2**-e to 2**-(e + 3) of its
+# density, but an eighth are uniform and up to an eighth on a threshold.
+# That keeps more than W / 2 of 2000 draws unplaced through depth 8: at e = 9
+# about 70% of the smooth laws'.  The steep laws' draws reach depth 62 at any
+# height, and some lie past it.  A half-line law's points are located against
+# every bin's shift at once.
+BAND_CASES = [(TRI, 9, False), (STACK_LAWS[2], 9, False), (STEEP_UNIT, 0, True),
+              (exponential(1.0), 9, False), (STEEP_HALFLINE, 0, True)]
+
+
+class TestBands:
+    """Once at most W / 2 points are unplaced, a batch compares them with the
+    next W // r depths' thresholds in one pass, or with those up to MAX_DEPTH:
+    the decisions of the one-depth steps, of one-point calls (one band from
+    depth 1, capped by MAX_DEPTH) and of the oracle."""
+
+    @pytest.mark.parametrize("f, e, deep", BAND_CASES, ids=lambda v: getattr(v, "name", None))
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=3, deadline=None)
+    def test_batch_matches_one_point_calls_and_the_oracle(self, f, e, deep, seed):
+        gen = RandomSource.from_seed(seed).gen
+        values = f.cdf_inverse(gen.random(2000))
+        shift, which = np.unique(np.floor(values), return_inverse=True)
+        which = which.astype(np.int32)
+        xs = values - shift[which]
+        ys = f.pdf(values) * (1.0 - gen.random(xs.size) * np.ldexp(1.0, -gen.integers(e, e + 4, xs.size)))
+        ys[::8] *= gen.random(ys[::8].size)
+        # another eighth on a threshold: f at the middle of the point's cell
+        # at a depth where it lies in a left half, a height that y < f(middle)
+        # does not place there, and that lies below f(x)
+        k = gen.integers(1, MAX_DEPTH + 1, xs.size)
+        tie = f.pdf(np.ldexp(2.0 * np.floor(np.ldexp(xs, k - 1)) + 1.0, -k) + shift[which])
+        on = (np.arange(xs.size) % 8 == 1) & (np.floor(np.ldexp(xs, k)) % 2 == 0) & (tie < f.pdf(values))
+        ys[on] = tie[on]
+        bins = {"shift": shift, "which": which} if f.support == "halfline" else {}
+        calls = []
+        counted = MonotonePdf(f.name, f.support, lambda x: calls.append(np.copy(x)) or f.pdf(x),
+                              f.cdf, f.cdf_inverse, f0=f.f0)
+        ks, offs, bad = locate_batch(xs, ys, counted, **bins)
+        bands = replayed_bands(xs, ys, ks, bad, *bins.values())
+        assert bands[0][0][0] > 8  # depths 1 to 8 went one at a time
+        assert_ran(bands, calls)
+        # the oracle's law per bin, its scalar pdf cached: cells near 0 are shared
+        laws = [memoized(shifted_to_unit(f, s) if bins else f) for s in shift.tolist()]
+        for i in range(xs.size):
+            one = locate_batch(xs[i:i + 1], ys[i:i + 1], f, **bins and {"shift": shift, "which": which[i:i + 1]})
+            try:
+                expected = (*locate(float(xs[i]), float(ys[i]), laws[which[i]]), False)
+            except DepthExceededError:
+                expected = (-1, 0, True)
+            assert (int(ks[i]), int(offs[i]), bool(bad[i])) == tuple(v[0].item() for v in one) == expected, i
+        if deep:
+            assert ks.max() == MAX_DEPTH and bad.any()
 
 
 class TestDepthZero:

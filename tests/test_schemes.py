@@ -193,8 +193,8 @@ def test_empty_stream_carries_no_payload(codec, scheme, dist):
     out = codec.desimulate(write_container(scheme, 0, []), RandomSource.from_seed(1))
     assert out.shape == (0,)
     assert out.dtype == (np.int64 if codec is integer_codec else np.float64)
-    # leftover bits are rejected at n = 0 as at n >= 1
-    with pytest.raises(FormatError, match="unread payload bits"):
+    # leftover bits are rejected at n = 0, which can use none
+    with pytest.raises(FormatError, match="4 payload bits are more than n = 0 samples can use"):
         codec.desimulate(write_container(scheme, 0, [(0b1011, 4)]), RandomSource.from_seed(1))
 
 
