@@ -20,8 +20,10 @@ as bitcodes fields; each takes every half-line bin in one call, their
 triples in bin order; collect_triples keeps only counts of the CHUNK points
 each locator call places, so the unit encoder's memory does not grow with n.
 No rectangle lies deeper than MAX_DEPTH, the only depth: the locator
-searches the depths up to it, one at a time while more than W / 2 points
-are unplaced and then the r left against a band of W // r depths at once,
+searches the depths up to it in two kinds of step, a grid step of one depth
+whose thresholds come from every bin's cell grid while many points are
+unplaced, and otherwise a band of max(1, W // r) depths for the r left,
+each point's cells read off q = floor(x * 2**MAX_DEPTH) by shifts;
 collect_triples redraws the rare point that none catches, and the decoder
 rejects deeper triples.
 
@@ -55,20 +57,21 @@ RETRY_BUDGET = 100
 # The points an encoder draws, locates and counts at a time; no container byte
 # depends on it.  A chunk's temporaries must fit in the free space glibc keeps
 # at the top of its heap, twice the largest buffer it mapped on its own and
-# freed: 16 MB after a decode at n = 10**6.  They peak at 5.9 MiB at 2**16;
+# freed: 16 MB after a decode at n = 10**6.  They peak at 6.1 MiB at 2**16;
 # at 2**18 (23.3 MiB) every chunk gave its pages back to the kernel and
 # faulted them in again: a unit encode at n = 10**6 after such a decode took
 # 5,481-8,483 minor faults, against 0-1 at 2**16.
 CHUNK = 1 << 16
-# Once the r points still unplaced at a depth are at most W / 2, the locator
-# compares them with the next W // r depths' thresholds in one 2-D pass (at
-# most W entries) rather than a depth at a time.  Each one-depth step costs
-# some 25-30 us whatever r is.  The 15 ceiling-sweep encodes took a median
-# 7.7 ms a pass at W = 2**11, against 8.8 ms with one-depth steps alone
-# (160 passes each, alternated in one process; 2 shared cores, CPython
-# 3.11.7, numpy 2.4.6); 2**10 read the same, 2**12 2% more, and 2**13 gave
-# back most of the gain, as the band then evaluates f at many depths that a
-# point never reaches.
+# A locator step that is not a grid step compares the r points still
+# unplaced with the next max(1, W // r) depths' thresholds in one 2-D pass,
+# at most W entries once r <= W / 2.  A step costs some 25-45 us of numpy
+# calls whatever r is: a one-point call that W = 1 split into 62 bands of
+# one depth took 1.5-2.9 ms more than one band.  The 15 ceiling-sweep
+# encodes took a median 7.7 ms a pass at W = 2**11, against 8.8 ms with
+# one-depth steps alone (160 passes each, alternated in one process; 2
+# shared cores, CPython 3.11.7, numpy 2.4.6); 2**10 read the same, 2**12 2%
+# more, and 2**13 gave back most of the gain, as the band then evaluates f
+# at many depths that a point never reaches.
 W = 1 << 11
 
 
@@ -131,10 +134,11 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, shift=0.0, which=0):
     no rectangle up to MAX_DEPTH catches are flagged in the mask rather than
     raising, so callers can resample just those; flagged before any depth are
     those that no rectangle holds: x outside [0, 1), not a number, or y below
-    0.  Each step visits only the points still unplaced: m = floor(x * 2**k)
-    is exact for x in [0, 1) and k <= MAX_DEPTH, its low bit is clear exactly
-    when x lies in the left half of a depth-k cell, and a = m >> 1 is that
-    cell's offset.
+    0.  Each step visits only the points still unplaced, each as its index
+    and q = floor(x * 2**MAX_DEPTH), exact for x in [0, 1): at depth k <=
+    MAX_DEPTH, q >> (MAX_DEPTH - k) is floor(x * 2**k), whose low bit is
+    clear exactly when x lies in the left half of its depth-k cell, and
+    a = q >> (MAX_DEPTH + 1 - k) is that cell's offset.
 
     The rectangles along the vertical line through a point are stacked, so
     each depth compares y with one threshold, f at the cell's middle.  The
@@ -145,16 +149,17 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, shift=0.0, which=0):
     commutes with that scaling, so they are the same double even above
     2**53, and a point not placed there has y at or above it.
 
-    While more than W / 2 points are unplaced, a step takes one depth.  A
-    depth whose left-half points outnumber the 2**(k-1) cells of all its bins
-    together evaluates f once on every bin's cell middles and reads each
-    point's threshold with take; otherwise f is evaluated at each point's own
-    middle.  Once r <= W / 2 are left at depth k, a step takes a band of the
-    next min(W // r, MAX_DEPTH + 1 - k) depths: one f.pdf call on a raveled
-    (r, band) array of each point's cell middles, and a point's first
-    left-half depth with y below its threshold places it, as the one-depth
-    steps would.  Each way computes a threshold by the same expression, so
-    they give the same doubles and every decision is the same.
+    A step is one of two kinds.  While the r points unplaced at depth k are
+    more than W / 2 and outnumber twice the 2**(k-1) cells of all bins
+    together, a grid step takes depth k alone: f is evaluated once on every
+    bin's cell middles, and each left-half point reads its threshold with
+    take.  Every other step is a band of the next max(1, min(W // r,
+    MAX_DEPTH + 1 - k)) depths: one f.pdf call on a raveled (band, r) array
+    of each point's cell middles, a row per depth, and a point's first
+    left-half depth with y below its threshold places it, as steps of one
+    depth would.  Both kinds compute a threshold by the same expression,
+    (2a + 1) * 2**-k plus the point's shift, so they give the same doubles
+    and every decision is the same.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -165,57 +170,51 @@ def locate_batch(xs: np.ndarray, ys: np.ndarray, f, *, shift=0.0, which=0):
     placed = inside & (ys < f.pdf(1.0 + shift)[which])
     ks = np.where(placed, np.int64(0), np.int64(-1))
     offs = np.zeros(xs.size, dtype=np.int64)
-    # the points still unplaced that some rectangle may hold; each one-depth
-    # step compacts them by index, since a take through np.flatnonzero is
-    # several times faster than a mask gather at its sizes
+    # the points still unplaced that some rectangle may hold, as their indices
+    # and q, cast from floats without a copy; each step compacts both by
+    # index, since a take through np.flatnonzero is several times faster than
+    # a mask gather at its sizes
     inside ^= placed
     idx = np.flatnonzero(inside)
     del inside, placed
+    q = np.ldexp(xs.take(idx), MAX_DEPTH, out=np.empty(idx.size, np.int64), casting="unsafe")
     k = 1
     while idx.size and k <= MAX_DEPTH:
-        if 2 * idx.size <= W:  # the next depths at once, a row of them per point
-            depth = np.arange(k, k + min(W // idx.size, MAX_DEPTH + 1 - k))
-            m = np.ldexp(xs.take(idx)[:, None], depth).astype(np.int64)
-            a = m >> 1
-            x = (2 * a + 1) * np.ldexp(1.0, -depth)
-            if per_bin:
-                x += shift.take(which.take(idx))[:, None]
-            hit = ys.take(idx)[:, None] < f.pdf(x.ravel()).reshape(x.shape)
-            hit &= (m & 1) == 0
-            # a row's first hit places it; a row of misses goes on past the band
-            first = hit.argmax(axis=1)
-            found = hit[np.arange(idx.size), first]
-            rows = np.flatnonzero(found)
-            ks[idx.take(rows)] = first.take(rows) + k
-            offs[idx.take(rows)] = a[rows, first.take(rows)]
-            idx = idx[~found]
-            k += depth.size
-            continue
-        m = np.ldexp(xs.take(idx), k).astype(np.int64)
-        left = np.flatnonzero((m & 1) == 0)
-        a = m.take(left) >> 1
-        del m
-        points = idx.take(left)
         cells = 1 << (k - 1)
-        if a.size > shift.size * cells:  # f at every bin's cell middles
+        if idx.size > max(W // 2, shift.size * 2 * cells):  # a grid step, depth k alone
+            left = np.flatnonzero((q & (1 << (MAX_DEPTH - k))) == 0)
+            a = q.take(left) >> (MAX_DEPTH + 1 - k)
+            points = idx.take(left)
             x = (2 * np.arange(cells) + 1) * 2.0 ** -k
             if per_bin:  # a row per bin, indexed in int64 as which may be int32
                 grid = f.pdf((shift[:, None] + x).ravel())
                 hi = grid.take(which.take(points) * np.int64(cells) + a)
             else:
                 hi = f.pdf(x).take(a)
-        else:
-            x = (2 * a + 1) * 2.0 ** -k
-            hi = f.pdf(x + shift.take(which.take(points)) if per_bin else x)
-        hit = np.flatnonzero(ys.take(points) < hi)
-        del hi
-        placed = points.take(hit)
-        ks[placed] = k
-        offs[placed] = a.take(hit)
-        rest = np.ones(idx.size, dtype=bool)
-        rest[left.take(hit)] = False
-        idx = idx.take(np.flatnonzero(rest))
-        k += 1
+            hit = np.flatnonzero(ys.take(points) < hi)
+            del hi
+            ks[points.take(hit)] = k
+            offs[points.take(hit)] = a.take(hit)
+            k += 1
+        else:  # a band, a row per depth and a column per point
+            depth = np.arange(k, k + max(1, min(W // idx.size, MAX_DEPTH + 1 - k)))[:, None]
+            cell = MAX_DEPTH + 1 - depth  # a point's depth-d cell offset is q >> cell
+            x = (2 * (q >> cell) + 1) * np.ldexp(1.0, -depth)
+            if per_bin:
+                x += shift.take(which.take(idx))
+            hit = ys.take(idx) < f.pdf(x.ravel()).reshape(x.shape)
+            del x
+            hit &= (q & (1 << (cell - 1))) == 0
+            # a point's first hit places it: the shallowest depth has the widest cell shift
+            first = (hit * cell.astype(np.uint8)).max(axis=0)
+            del hit
+            rows = np.flatnonzero(first)
+            ks[idx.take(rows)] = MAX_DEPTH + 1 - first.take(rows)
+            offs[idx.take(rows)] = q.take(rows) >> first.take(rows)
+            k += depth.size
+        rest = np.flatnonzero(ks.take(idx) < 0)  # still unplaced
+        idx = idx.take(rest)
+        q = q.take(rest)
     return ks, offs, ks < 0
 
 

@@ -150,6 +150,7 @@ def assert_batch_matches_scalar(xs, ys, f):
     return ks, bad
 
 
+@pytest.mark.locator
 class TestLocate:
     def test_known_points(self):
         assert locate(0.3, 0.7, TRI) == (1, 0)
@@ -565,6 +566,7 @@ STEP_CASES = [
 ANY_STEP_LAW = st.one_of(step_laws("unit"), step_laws("halfline"))
 
 
+@pytest.mark.locator
 class TestStepLaws:
     """Arbitrary non-increasing step densities, not only the built-in laws."""
 
@@ -628,20 +630,23 @@ def replayed_bands(xs, ys, ks, bad, shift=None, which=None) -> list[tuple[np.nda
     """The depths and f.pdf input of each band a locate_batch call ran,
     replayed from its output (ks, bad).  A point is still unplaced at depth k
     if the call placed it at k or deeper, or flagged it although it lies in
-    [0, 1) x [0, inf).  Once at most W / 2 are, the next W // r depths, or
-    those up to MAX_DEPTH, go at once: a row of each point's cell middles,
-    shifted into its bin."""
+    [0, 1) x [0, inf).  While the r unplaced are more than W / 2 and than
+    2**k per bin, twice the cells of the depth-k grid, a grid step takes
+    depth k alone; every other step is a band of the next max(1, W // r)
+    depths, or those up to MAX_DEPTH: a row per depth of each point's cell
+    middle, shifted into its bin."""
     inside = (xs >= 0.0) & (xs < 1.0) & (ys >= 0.0)
     last = np.where(bad, np.where(inside, MAX_DEPTH + 1, -1), ks)
+    bins = 1 if shift is None else shift.size
     bands, k = [], 1
     while k <= MAX_DEPTH and (idx := np.flatnonzero(last >= k)).size:
-        if 2 * idx.size > W:
+        if idx.size > max(W // 2, bins << k):
             k += 1
             continue
-        depths = np.arange(k, min(k + W // idx.size, MAX_DEPTH + 1))
+        depths = np.arange(k, min(k + max(1, W // idx.size), MAX_DEPTH + 1))
         # floor(x * 2**(d - 1)) is the offset a, so 2a + 1 rounds as an int64 would
-        x = np.ldexp(2.0 * np.floor(np.ldexp(xs[idx, None], depths - 1)) + 1.0, -depths)
-        bands.append((depths, (x if shift is None else x + shift[which[idx], None]).ravel()))
+        x = np.ldexp(2.0 * np.floor(np.ldexp(xs[idx], depths[:, None] - 1)) + 1.0, -depths[:, None])
+        bands.append((depths, (x if shift is None else x + shift[which[idx]]).ravel()))
         k = int(depths[-1]) + 1
     return bands
 
@@ -696,6 +701,7 @@ def assert_batch_matches_one_point_calls(f, gen, edges: int, size: int = 500) ->
     return grids, len(bands)
 
 
+@pytest.mark.locator
 class TestThresholdGrid:
     """A batch reads the thresholds of its shallow depths from a grid of f.pdf
     values, and its last few points' from a band of depths; a one-point batch
@@ -774,6 +780,7 @@ def assert_bins_match_their_own_calls(f, gen, size: int) -> tuple[set[int], int]
     return grids, len(bands)
 
 
+@pytest.mark.locator
 class TestBinShifts:
     """One call locates points under different bins' shifts of f: the same
     decisions as a call per bin against a unit handle and a call per point,
@@ -840,6 +847,7 @@ def stacked_cases(draw):
     return f, points
 
 
+@pytest.mark.locator
 class TestStackedThresholds:
     """Each depth compares a point's height with f at the middle of its cell
     alone; the oracle tests both edges of its rectangle.  Heights on, and one
@@ -873,16 +881,22 @@ def memoized(f) -> MonotonePdf:
 # That keeps more than W / 2 of 2000 draws unplaced through depth 8: at e = 9
 # about 70% of the smooth laws'.  The steep laws' draws reach depth 62 at any
 # height, and some lie past it.  A half-line law's points are located against
-# every bin's shift at once.
+# every bin's shift at once; a mean of 2**10 spreads them over ~1300 bins,
+# whose grid outnumbers them from depth 1, and its density changes by ~2**-10
+# over a bin, so e = 20 keeps them unplaced as long.
 BAND_CASES = [(TRI, 9, False), (STACK_LAWS[2], 9, False), (STEEP_UNIT, 0, True),
-              (exponential(1.0), 9, False), (STEEP_HALFLINE, 0, True)]
+              (exponential(1.0), 9, False), (STEEP_HALFLINE, 0, True), (exponential(2.0**-10), 20, False)]
 
 
+@pytest.mark.locator
 class TestBands:
     """Once at most W / 2 points are unplaced, a batch compares them with the
     next W // r depths' thresholds in one pass, or with those up to MAX_DEPTH:
-    the decisions of the one-depth steps, of one-point calls (one band from
-    depth 1, capped by MAX_DEPTH) and of the oracle."""
+    the decisions of the grid steps, of one-point calls (one band from
+    depth 1, capped by MAX_DEPTH) and of the oracle.  Where more than W / 2
+    are unplaced at a depth whose grid, twice the cells of every bin,
+    outnumbers them, as for a deep law or many bins, the step is a band of
+    that one depth, f at each point's own cell middle."""
 
     @pytest.mark.parametrize("f, e, deep", BAND_CASES, ids=lambda v: getattr(v, "name", None))
     @given(seed=st.integers(0, 2**32))
@@ -908,7 +922,11 @@ class TestBands:
                               f.cdf, f.cdf_inverse, f0=f.f0)
         ks, offs, bad = locate_batch(xs, ys, counted, **bins)
         bands = replayed_bands(xs, ys, ks, bad, *bins.values())
-        assert bands[0][0][0] > 8  # depths 1 to 8 went one at a time
+        # depths 1 to 8 went one at a time: grid steps, or bands of one depth
+        # where the grid outnumbers the points
+        multi = [depths for depths, _ in bands if depths.size > 1]
+        assert multi and multi[0][0] > 8
+        assert any(depths.size == 1 and x.size > W // 2 for depths, x in bands)
         assert_ran(bands, calls)
         # the oracle's law per bin, its scalar pdf cached: cells near 0 are shared
         laws = [memoized(shifted_to_unit(f, s) if bins else f) for s in shift.tolist()]
@@ -923,6 +941,7 @@ class TestBands:
             assert ks.max() == MAX_DEPTH and bad.any()
 
 
+@pytest.mark.locator
 class TestDepthZero:
     """The law has no mass past 1, so the oracle, like the locator, takes
     R(0, 0) down to y = 0 whatever the density formula gives at 2."""

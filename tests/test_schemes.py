@@ -103,15 +103,17 @@ def test_containers_at_a_million_are_pinned():
 
 # The tracemalloc peak of one encode at n = 10**6 may grow by at most 10% over
 # 5.9 MiB (unit) and 20.6 MiB (half-line), read on numpy 2.4.6.  The unit
-# encoder draws, locates and counts dyadic_codec.CHUNK points at a time, so its
-# peak is one chunk's temporaries and does not grow with n (71.5 MiB when it
-# located every point at once, 23.3 MiB in chunks of 2**18).  The half-line
-# encoder's peak is its n draws, their stable sort order and their 16-bit bin
-# keys (43.9 MiB when it drew and located every point at once, 30.5 MiB when
-# it also kept an int64 bin and a bin-sorted copy of every draw).  Per-bin
-# density tables in the half-line locator, built at every depth, peaked at
-# 112.5 MiB; the locator builds its per-bin grid only at a depth where it is
-# smaller than the points it serves.
+# peak reads 6.1 MiB (6.3 MiB at 10**7) since the locator carries each
+# unplaced point's cells as one int64, q = floor(x * 2**62), through its
+# steps.  The unit encoder draws, locates and counts dyadic_codec.CHUNK
+# points at a time, so its peak is one chunk's temporaries and does not grow
+# with n (71.5 MiB when it located every point at once, 23.3 MiB in chunks of
+# 2**18).  The half-line encoder's peak is its n draws, their stable sort
+# order and their 16-bit bin keys (43.9 MiB when it drew and located every
+# point at once, 30.5 MiB when it also kept an int64 bin and a bin-sorted
+# copy of every draw).  Per-bin density tables in the half-line locator,
+# built at every depth, peaked at 112.5 MiB; the locator builds its per-bin
+# grid only at a depth where it is smaller than the points it serves.
 MEMORY_BOUNDS = [(dyadic_codec, triangular(), 5.9), (halfline_codec, pareto_flat(2.0, 2.0), 20.6)]
 
 
